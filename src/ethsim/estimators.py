@@ -28,20 +28,15 @@ from .core import (
     random_state,
     uniform_superposition,
 )
-from .errors import ConfigError, DomainError, SingularityError
+from .errors import ConfigError, DomainError
 from .phase_estimation import (
     QpeConfig,
-    WeightedJointState,
-    apply_upsilon,
     energy_table,
-    joint_observable_matrix,
-    qpe_disentangle,
-    qpe_entangle,
-    qpe_sandwich_matrix,
+    register_amplitudes,
     register_indices,
-    register_residual,
+    register_weights,
     reweighted_delta,
-    system_slice,
+    upsilon_table,
 )
 from .rng import derive_seed, substream
 from .spectral import Spectrum, diagonal_ensemble, eigendecompose
@@ -196,40 +191,27 @@ def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVect
     return random_state(n_qubits, seed, ensemble=init.kind)
 
 
-def _decoded_weights(spec: Spectrum, qpe: QpeConfig, w: WeightSpec) -> tuple:
-    """(register indices, decoded energies, weights on decoded energies)."""
-    kp = register_indices(spec, qpe)
-    decoded = energy_table(qpe)[kp]
-    values = w.evaluate(decoded, qpe.representable_span)
-    return kp, decoded, values
-
-
-def _sandwich_eigenbasis(spec: Spectrum, delta: DenseOperator, qpe: QpeConfig, w: WeightSpec) -> np.ndarray:
-    """Eigenbasis matrix G with <psi(t),0| sandwich |psi(t),0> = c(t)^dag G c(t)."""
-    v = spec.eigenvectors
+def _diagnostic_energies(spec: Spectrum, qpe: QpeConfig):
+    """Energies the diagnostics weight against: the decoded bin energies in
+    exact-binning mode, the true eigenvalues (None) in circuit mode."""
     if qpe.mode == "exact-binning":
-        kp, _, values = _decoded_weights(spec, qpe, w)
-        if np.iscomplexobj(values):
-            raise ConfigError("operator form requires real weights")
-        delta_eig = v.conj().T @ delta.entries @ v
-        mask = kp[:, None] == kp[None, :]
-        return delta_eig * mask * values[None, :]
-    comp = qpe_sandwich_matrix(delta, spec, qpe, w)
-    return v.conj().T @ comp @ v
+        return energy_table(qpe)[register_indices(spec, qpe)]
+    return None
+
+
+def _evolved(spec: Spectrum, coeffs: np.ndarray, dt: float, num_steps: int):
+    """Eigen-coefficients c_p(t_j) = c_p exp(-i E_p t_j) at t_j = j*dt for
+    j = 1..num_steps, yielded as column blocks of at most _CHUNK steps."""
+    for start in range(0, num_steps, _CHUNK):
+        t = dt * np.arange(start + 1, min(start + _CHUNK, num_steps) + 1)
+        yield coeffs[:, None] * np.exp(-1.0j * np.outer(spec.eigenvalues, t))
 
 
 def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int) -> np.ndarray:
-    """Per-step expectation values c(t_j)^dag G c(t_j), vectorized in chunks."""
-    evals = spec.eigenvalues
-    out = np.empty(num_steps, dtype=float)
-    start = 0
-    while start < num_steps:
-        stop = min(start + _CHUNK, num_steps)
-        t = dt * np.arange(start + 1, stop + 1)
-        c = coeffs[:, None] * np.exp(-1.0j * np.outer(evals, t))
-        out[start:stop] = np.einsum("qk,qp,pk->k", c.conj(), g_eig, c).real
-        start = stop
-    return out
+    """Per-step expectation values c(t_j)^dag G c(t_j)."""
+    return np.concatenate(
+        [np.einsum("qk,qp,pk->k", c.conj(), g_eig, c).real for c in _evolved(spec, coeffs, dt, num_steps)]
+    )
 
 
 def _diagnose(series: np.ndarray, spec: Spectrum, delta_eff: DenseOperator, diag_target: float) -> ThermalizationVerdict:
@@ -301,35 +283,33 @@ def swap_test_estimate(a: StateVector, b: StateVector, shots: int, seed: int) ->
         raise ConfigError(f"shots must be >= 1, got {shots}")
     if a.n_qubits != b.n_qubits:
         raise DomainError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    overlap_sq = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+    return _swap_test_draw(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2, shots, seed)
+
+
+def _swap_test_draw(overlap_sq: float, shots: int, seed: int) -> float:
     p_zero = 0.5 * (1.0 + overlap_sq)
     zeros = substream(seed, "swap-test").binomial(shots, min(p_zero, 1.0))
     return float(np.clip(2.0 * zeros / shots - 1.0, 0.0, 1.0))
 
 
-def _operator_form_shots(spec, delta, w, eth, qpe, r, rep):
-    obs = joint_observable_matrix(delta, spec, qpe, w)
-    if np.abs(obs - obs.conj().T).max() > 1e-9:
-        raise ConfigError("shot sampling requires a Hermitian (real-weight) observable")
-    evals_o, u = np.linalg.eigh(0.5 * (obs + obs.conj().T))
-    m_dim = qpe.register_size
-    # register starts in |0>, so only those joint columns carry amplitude
-    basis = u.conj().T[:, ::m_dim]
+def _shot_outcomes(spec, delta, table, amps):
+    """Outcome values of the weighted observable, and the function mapping
+    evolved eigen-coefficients c to the outcome probabilities.
 
-    v = spec.eigenvectors
-    coeffs = v.conj().T @ r.amplitudes
-    samples = np.empty(eth.num_steps, dtype=float)
-    for j in range(eth.num_steps):
-        t = eth.dt * (j + 1)
-        psi = v @ (coeffs * np.exp(-1.0j * spec.eigenvalues * t))
-        amp = basis @ psi
-        probs = np.abs(amp) ** 2
-        probs = np.maximum(probs, 0.0)
-        probs /= probs.sum()
-        rng = substream(eth.seed, "shots", rep, j)
-        counts = rng.multinomial(eth.shots, probs)
-        samples[j] = float(counts @ evals_o) / eth.shots
-    return samples
+    Measuring E^dag (delta x W) E on |psi,0> gives the outcomes of delta x W
+    on E|psi,0> = sum_p c_p |p> a_p: the value d_i w_k with probability
+    |sum_p <d_i|p> c_p a_p[k]|^2, where (d_i, |d_i>) are delta's eigenpairs.
+    """
+    if np.abs(delta.entries - delta.entries.conj().T).max() > 1e-9:
+        raise ConfigError("shot sampling requires a Hermitian observable")
+    d, u = np.linalg.eigh(delta.entries)
+    overlap = u.conj().T @ spec.eigenvectors
+
+    def probabilities(c):
+        probs = np.abs(overlap @ (c[:, None] * amps)).ravel() ** 2
+        return probs / probs.sum()
+
+    return np.outer(d, table).ravel(), probabilities
 
 
 def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth: EthConfig, qpe: QpeConfig) -> EthEstimate:
@@ -344,9 +324,17 @@ def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth
     spec = eigendecompose(a)
     if delta.dim != spec.dim:
         raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
-
-    g_eig = _sandwich_eigenbasis(spec, delta, qpe, w)
     v = spec.eigenvectors
+    amps = register_amplitudes(spec, qpe)
+    table = upsilon_table(spec, qpe, w)
+    if np.any(np.imag(table)[np.any(amps != 0, axis=0)] != 0):
+        raise ConfigError("operator form requires real weights on every register bin it reaches")
+    table = table.real
+    # <q,0| E^dag (delta x W) E |p,0> = delta_qp * sum_k conj(a_q[k]) w_k a_p[k]
+    g_eig = (v.conj().T @ delta.entries @ v) * ((amps.conj() * table) @ amps.T)
+    eff = reweighted_delta(delta, spec, w, energies=_diagnostic_energies(spec, qpe))
+    if eth.sampling == "shots":
+        values, probabilities = _shot_outcomes(spec, delta, table, amps)
 
     all_samples = []
     diag_targets = []
@@ -355,18 +343,19 @@ def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth
         r = _resolve_initial_state(eth, int(np.log2(spec.dim)), rep)
         if r.dim != spec.dim:
             raise DomainError(f"initial state dimension {r.dim} does not match {spec.dim}")
+        coeffs = v.conj().T @ r.amplitudes
         if eth.sampling == "exact":
-            coeffs = v.conj().T @ r.amplitudes
             samples = _exact_series(spec, g_eig, coeffs, eth.dt, eth.num_steps)
         else:
-            samples = _operator_form_shots(spec, delta, w, eth, qpe, r, rep)
+            columns = (c for block in _evolved(spec, coeffs, eth.dt, eth.num_steps) for c in block.T)
+            samples = np.array(
+                [
+                    substream(eth.seed, "shots", rep, j).multinomial(eth.shots, probabilities(c)) @ values
+                    for j, c in enumerate(columns)
+                ]
+            ) / eth.shots
             shots_drawn += eth.shots * eth.num_steps
         all_samples.append(samples)
-        if qpe.mode == "exact-binning":
-            _, decoded, _ = _decoded_weights(spec, qpe, w)
-            eff = reweighted_delta(delta, spec, w, energies=decoded)
-        else:
-            eff = reweighted_delta(delta, spec, w)
         diag_targets.append(diagonal_ensemble(spec, eff, r))
 
     series = np.concatenate(all_samples)
@@ -385,26 +374,6 @@ def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth
     )
 
 
-def _vector_form_pipeline_step(spec, phi, eth, qpe, policy, state, rep, j):
-    """One explicit entangle/weight/disentangle step; returns the sample and
-    the register residual left after disentangling."""
-    w = WeightSpec(kind="inverse", policy=policy)
-    joint = qpe_entangle(spec, state, qpe)
-    weighted = apply_upsilon(joint, qpe, w, power="half")
-    returned = qpe_disentangle(weighted, spec, qpe)
-    residual = register_residual(returned, qpe)
-    slice_amp = system_slice(returned, qpe)
-    slice_norm = float(np.linalg.norm(slice_amp))
-    if eth.sampling == "exact":
-        overlap_sq = abs(np.vdot(phi.amplitudes, slice_amp)) ** 2
-        sample = weighted.norm_factor**2 * overlap_sq
-    else:
-        b = StateVector(phi.n_qubits, slice_amp / slice_norm)
-        est = swap_test_estimate(phi, b, eth.shots, derive_seed(eth.seed, "shots", rep, j))
-        sample = (weighted.norm_factor * slice_norm) ** 2 * est
-    return sample, residual
-
-
 def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: QpeConfig, policy: str = "reject") -> EthEstimate:
     """Time-average of weighted overlap probabilities against |phi>.
 
@@ -419,53 +388,36 @@ def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: Qpe
         raise DomainError(f"phi dimension {phi.dim} does not match {spec.dim}")
     w = WeightSpec(kind="inverse", policy=policy)
     v = spec.eigenvectors
-
-    fast = qpe.mode == "exact-binning"
-    if fast:
-        kp, decoded, values = _decoded_weights(spec, qpe, w)
-        negative = np.real(values) < 0
-        if np.any(negative):
-            if w.policy == "reject":
-                raise SingularityError(
-                    f"negative weight at decoded energy {decoded[negative][0]} "
-                    "under half power; regularize to allow complex weights"
-                )
-            values = values.astype(complex)
-        g = np.sqrt(values)
-        b = v.conj().T @ phi.amplitudes
-        u = b.conj() * g
+    prob = np.abs(register_amplitudes(spec, qpe)) ** 2
+    b = v.conj().T @ phi.amplitudes
+    eff = reweighted_delta(projector_from_state(phi), spec, w, energies=_diagnostic_energies(spec, qpe))
 
     all_samples = []
     diag_targets = []
-    residual_total = 0.0
+    residuals = []
     shots_drawn = 0
     n_qubits = int(np.log2(spec.dim))
     for rep in range(eth.repetitions):
         r = _resolve_initial_state(eth, n_qubits, rep)
         coeffs = v.conj().T @ r.amplitudes
-        if fast and eth.sampling == "exact":
-            samples = np.empty(eth.num_steps, dtype=float)
-            start = 0
-            while start < eth.num_steps:
-                stop = min(start + _CHUNK, eth.num_steps)
-                t = eth.dt * np.arange(start + 1, stop + 1)
-                c = coeffs[:, None] * np.exp(-1.0j * np.outer(spec.eigenvalues, t))
-                samples[start:stop] = np.abs(u @ c) ** 2
-                start = stop
-        else:
-            samples = np.empty(eth.num_steps, dtype=float)
-            for j in range(eth.num_steps):
-                t = eth.dt * (j + 1)
-                state = StateVector(n_qubits, v @ (coeffs * np.exp(-1.0j * spec.eigenvalues * t)))
-                samples[j], residual = _vector_form_pipeline_step(
-                    spec, phi, eth, qpe, policy, state, rep, j
-                )
-                residual_total += residual
-            if eth.sampling == "shots":
-                shots_drawn += eth.shots * eth.num_steps
+        # Bin occupancies do not depend on t. After entangling, weighting the
+        # occupied bins by sqrt(w) and disentangling, the |0> register slice
+        # is V (gamma * c(t)) / norm_factor with gamma_p = sum_k |a_p[k]|^2 s_k.
+        s, norm_factor = register_weights(np.abs(coeffs) ** 2 @ prob, qpe, w, power="half")
+        gamma = prob @ s
+        u = b.conj() * gamma
+        samples = np.concatenate([np.abs(u @ c) ** 2 for c in _evolved(spec, coeffs, eth.dt, eth.num_steps)])
+        kept = float(np.sum(np.abs(gamma * coeffs) ** 2))  # (norm_factor * slice norm)^2
+        if eth.sampling == "shots":
+            samples = kept * np.array(
+                [
+                    _swap_test_draw(x / kept, eth.shots, derive_seed(eth.seed, "shots", rep, j))
+                    for j, x in enumerate(samples)
+                ]
+            )
+            shots_drawn += eth.shots * eth.num_steps
+        residuals.append(max(0.0, 1.0 - kept / norm_factor**2))
         all_samples.append(samples)
-        energies = energy_table(qpe)[register_indices(spec, qpe)] if fast else None
-        eff = reweighted_delta(projector_from_state(phi), spec, w, energies=energies)
         diag_targets.append(diagonal_ensemble(spec, eff, r))
 
     series = np.concatenate(all_samples)
@@ -473,7 +425,6 @@ def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: Qpe
     verdict = _diagnose(series, spec, delta_eff=eff, diag_target=float(np.mean(diag_targets)))
     steps = eth.repetitions * eth.num_steps
     cost = CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots_drawn)
-    mean_residual = residual_total / steps if not (fast and eth.sampling == "exact") else 0.0
     return EthEstimate(
         estimate=float(rm[-1]),
         standard_error=batch_means_standard_error(series),
@@ -482,7 +433,7 @@ def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: Qpe
         normalization=1.0,
         cost=cost,
         thermalized=verdict,
-        register_residual=mean_residual,
+        register_residual=float(np.mean(residuals)),
     )
 
 

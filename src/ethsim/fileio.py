@@ -1,7 +1,8 @@
 """Plain-text file formats and atomic writers.
 
-Matrix files: first line is the dimension, then one row per line as
-whitespace-separated "re im" pairs, row-major. Series files: CSV with
+Matrix files: first line is the dimension (a power of two: the operator
+acts on qubits), then one row per line as whitespace-separated "re im"
+pairs, row-major. Series files: CSV with
 columns step,t,sample,running_mean,running_se (or the JSON equivalent).
 Floats are written with repr so identical runs produce identical bytes.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,9 @@ def atomic_write_text(path, text: str) -> Path:
     half-written file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # mode 0o666 leaves the permissions to the umask, as for any new file
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -61,8 +64,10 @@ def read_matrix_file(path) -> np.ndarray:
         dim = int(tokens[0])
     except ValueError:
         raise ConfigError(f"matrix file {path}: first token must be the dimension")
+    if dim < 2 or dim & (dim - 1):
+        raise ConfigError(f"matrix file {path}: dimension {dim} is not a power of two >= 2")
     expect = 1 + 2 * dim * dim
-    if dim < 1 or len(tokens) != expect:
+    if len(tokens) != expect:
         raise ConfigError(
             f"matrix file {path}: expected {expect} numbers for dim {dim}, got {len(tokens)}"
         )

@@ -5,6 +5,10 @@ an affine phase map sends eigenvalues into [0, 1), an m-bit register bins
 them, and weights act on the decoded bin energies rather than on the true
 eigenvalues. Dyadic spectra make the binning exact; the circuit mode also
 reproduces the finite-register leakage of real phase estimation.
+
+The estimators work from register_amplitudes and register_weights; the
+per-state pipeline and the dense joint-space matrices compute the same
+quantities step by step and are kept as the tests' references.
 """
 
 from __future__ import annotations
@@ -183,6 +187,19 @@ def _transform_register_rows(rows: np.ndarray, spec: Spectrum, config: QpeConfig
     return ((rows @ h.T) * d) @ f.conj()
 
 
+def register_amplitudes(spec: Spectrum, config: QpeConfig) -> np.ndarray:
+    """Register amplitudes a[p, k] = <k|R_p|0> after phase estimation on |p>.
+
+    R_p is the per-eigenvector register transform of qpe_entangle, so the
+    entangled state of sum_p c_p |p>|0> is sum_p c_p |p> (sum_k a[p, k] |k>).
+    Exact binning gives a one-hot row at bin k_p; circuit mode gives the
+    textbook phase-estimation kernel F^dag D_p H |0>.
+    """
+    rows = np.zeros((spec.dim, config.register_size), dtype=complex)
+    rows[:, 0] = 1.0
+    return _transform_register_rows(rows, spec, config, inverse=False)
+
+
 def _apply_qpe(joint: np.ndarray, spec: Spectrum, config: QpeConfig, inverse: bool) -> np.ndarray:
     n_dim, m_dim = _split_dims(joint.shape[0], config)
     if n_dim != spec.dim:
@@ -211,21 +228,19 @@ def qpe_entangle(spec: Spectrum, state: StateVector, config: QpeConfig) -> State
     return StateVector(state.n_qubits + config.m, out)
 
 
-def apply_upsilon(joint: StateVector, config: QpeConfig, w: WeightSpec, power: str = "one") -> WeightedJointState:
-    """Multiply every occupied register slice by w(decoded energy)**power.
+def register_weights(occupancy: np.ndarray, config: QpeConfig, w: WeightSpec, power: str = "one"):
+    """Per-bin multipliers w(decoded energy)**power and the norm they leave.
 
-    The weight sees the decoded bin energy, not the true eigenvalue; on
-    dyadic spectra the two coincide. power "half" is the square-root weight
-    used when the weighted state itself is the object of interest. Slices
-    holding less than OCCUPANCY_EPS probability are dropped as numerically
-    empty. The result is renormalized, with the lost norm recorded.
+    occupancy[k] is the probability a state holds in register bin k. Bins
+    holding less than OCCUPANCY_EPS are numerically empty and get multiplier
+    zero. Under power "half" a negative weight on an occupied bin raises
+    SingularityError unless the policy is "regularize", which takes the
+    complex square root. Returns (multipliers, norm_factor), the norm factor
+    being the norm of the weighted state.
     """
     if power not in ("one", "half"):
         raise ConfigError(f"power must be 'one' or 'half', got {power!r}")
-    n_dim, m_dim = _split_dims(joint.dim, config)
-    rows = joint.amplitudes.reshape(n_dim, m_dim)
-    col_prob = np.sum(np.abs(rows) ** 2, axis=0)
-    occupied = col_prob > OCCUPANCY_EPS
+    occupied = occupancy > OCCUPANCY_EPS
     if not np.any(occupied):
         raise DomainError("joint state has no occupied register slice")
 
@@ -244,13 +259,28 @@ def apply_upsilon(joint: StateVector, config: QpeConfig, w: WeightSpec, power: s
     else:
         multipliers = base
 
-    full = np.zeros(m_dim, dtype=complex if np.iscomplexobj(multipliers) else float)
+    full = np.zeros(config.register_size, dtype=complex if np.iscomplexobj(multipliers) else float)
     full[occupied] = multipliers
-    weighted = rows * full[None, :]
-    norm_factor = float(np.linalg.norm(weighted))
+    norm_factor = float(np.sqrt(occupancy @ np.abs(full) ** 2))
     if norm_factor <= 1e-14:
         raise SingularityError("weighting annihilated every occupied register slice")
-    out = StateVector(joint.n_qubits, (weighted / norm_factor).reshape(-1))
+    return full, norm_factor
+
+
+def apply_upsilon(joint: StateVector, config: QpeConfig, w: WeightSpec, power: str = "one") -> WeightedJointState:
+    """Multiply every occupied register slice by w(decoded energy)**power.
+
+    The weight sees the decoded bin energy, not the true eigenvalue; on
+    dyadic spectra the two coincide. power "half" is the square-root weight
+    used when the weighted state itself is the object of interest. Slices
+    holding less than OCCUPANCY_EPS probability are dropped as numerically
+    empty (see register_weights). The result is renormalized, with the lost
+    norm recorded.
+    """
+    n_dim, m_dim = _split_dims(joint.dim, config)
+    rows = joint.amplitudes.reshape(n_dim, m_dim)
+    full, norm_factor = register_weights(np.sum(np.abs(rows) ** 2, axis=0), config, w, power)
+    out = StateVector(joint.n_qubits, (rows * full[None, :] / norm_factor).reshape(-1))
     return WeightedJointState(out, norm_factor, (f"upsilon:{w.kind}^{power}",))
 
 
@@ -306,8 +336,8 @@ def reweighted_delta(delta: DenseOperator, spec: Spectrum, w: WeightSpec, energi
 def entangle_matrix(spec: Spectrum, config: QpeConfig) -> np.ndarray:
     """Dense unitary of the entangling transform on the joint space.
 
-    Oracle-grade construction for tests and the shot-noise observable;
-    estimators use the streamlined per-state transforms instead.
+    Reference construction for tests; the estimators work in the eigenbasis
+    from register_amplitudes instead.
     """
     n_dim = spec.dim
     m_dim = config.register_size
@@ -360,8 +390,9 @@ def upsilon_table(spec: Spectrum, config: QpeConfig, w: WeightSpec) -> np.ndarra
 def joint_observable_matrix(delta: DenseOperator, spec: Spectrum, config: QpeConfig, w: WeightSpec) -> np.ndarray:
     """Dense Hermitian observable: entangle, weight the register, disentangle.
 
-    This is the measured operator of the expectation-style estimator; its
-    restriction to the |0> register sector reproduces qpe_sandwich_matrix.
+    This is the operator the operator-form estimator measures, built on the
+    joint space as a reference for tests; its restriction to the |0>
+    register sector reproduces qpe_sandwich_matrix.
     """
     if delta.dim != spec.dim:
         raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")

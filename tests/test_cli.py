@@ -137,6 +137,20 @@ class TestRunCommand:
         assert code == 4
         assert "error [domain]" in err
 
+    def test_non_power_of_two_matrix_is_config_error(self, tmp_path, capsys):
+        write_matrix_file(tmp_path / "op.mat", np.diag([1.0, 2.0, 3.0]).astype(complex))
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text(
+            FAST_INVERSE_CFG.replace(
+                "problem.kind = pauli-terms\nproblem.terms = 1.5 I; -0.5 Z",
+                "problem.kind = dense-matrix-file\nproblem.path = op.mat",
+            )
+        )
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error [config]")
+        assert "op.mat" in err and "power of two" in err
+
     def test_singular_operator_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "singular.cfg"
         cfg.write_text(

@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ethsim import ConfigError
 from ethsim.config import (
+    DELTA_KINDS,
+    FORMS,
+    PROBLEM_KINDS,
+    TARGETS,
     ExperimentConfig,
     from_dict,
     load_config,
@@ -15,6 +22,7 @@ from ethsim.config import (
     parse_keyvalue_text,
     to_keyvalue_text,
 )
+from ethsim.estimators import INITIAL_STATE_KINDS, SAMPLING_MODES
 from ethsim.fileio import (
     atomic_write_text,
     read_matrix_file,
@@ -25,7 +33,11 @@ from ethsim.fileio import (
     write_series,
     write_summary,
 )
+from ethsim.phase_estimation import QPE_MODES
 from ethsim.presets import PRESET_NAMES, build_preset
+from ethsim.weights import WEIGHT_KINDS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestFromDict:
@@ -245,6 +257,15 @@ class TestSeriesFiles:
         assert path.read_text() == "second"
         assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_atomic_write_respects_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            path = atomic_write_text(tmp_path / "out.txt", "text")
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode
+
 
 class TestPresets:
     def test_names_and_unknown(self):
@@ -269,3 +290,33 @@ class TestPresets:
         assert cfg.sweep is not None
         assert cfg.sweep.ratios == (2.0, 10.0, 100.0, 1000.0)
         assert cfg.sweep.n_qubits == 3
+
+
+class TestReadme:
+    """The README's config example and section notes match the parser."""
+
+    ACCEPTED = {
+        "target": TARGETS,
+        "form": FORMS,
+        "problem.kind": PROBLEM_KINDS,
+        "delta.kind": DELTA_KINDS,
+        "weight.kind": WEIGHT_KINDS,
+        "qpe.mode": QPE_MODES,
+        "eth.sampling": SAMPLING_MODES,
+        "eth.initial_state.kind": INITIAL_STATE_KINDS,
+    }
+
+    def test_config_block_is_the_emitted_preset(self):
+        text = README.read_text()
+        block = re.search(r"produces:\n\n```\n(.*?)```", text, re.S).group(1)
+        assert block.strip() == to_keyvalue_text(build_preset("inverse-2q")).strip()
+        assert from_dict(parse_keyvalue_text(block)).to_dict() == build_preset("inverse-2q").to_dict()
+
+    def test_section_notes_name_every_accepted_kind(self):
+        notes = re.findall(
+            r"^- `([a-z_.]+)`: ((?:`[a-z_-]+`(?:,|,? or)\s+)*`[a-z_-]+`)", README.read_text(), re.M
+        )
+        named = {key: set(re.findall(r"`([a-z_-]+)`", values)) for key, values in notes}
+        assert set(named) == set(self.ACCEPTED)
+        for key, accepted in self.ACCEPTED.items():
+            assert named[key] == set(accepted), key

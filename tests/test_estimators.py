@@ -34,7 +34,24 @@ from ethsim import (
     uniform_superposition,
 )
 from ethsim.core import all_ones_delta, derivative_mask, identity_operator
-from ethsim.estimators import _resolve_initial_state, running_mean, running_standard_error
+from ethsim.estimators import (
+    _resolve_initial_state,
+    _shot_outcomes,
+    running_mean,
+    running_standard_error,
+)
+from ethsim.phase_estimation import (
+    WeightedJointState,
+    apply_upsilon,
+    joint_observable_matrix,
+    qpe_disentangle,
+    qpe_entangle,
+    qpe_sandwich_matrix,
+    register_amplitudes,
+    register_residual,
+    system_slice,
+    upsilon_table,
+)
 from ethsim.presets import build_preset
 from ethsim.rng import substream
 
@@ -251,6 +268,115 @@ class TestVectorForm:
         eth = EthConfig(dt=0.19, num_steps=16)
         out = run_vector_form(DYADIC_2Q, phi, eth, DYADIC_QPE)
         assert out.register_residual <= 1e-13
+
+
+def _merged_problem(n_qubits, m, seed):
+    """Seeded dense A whose 2**n eigenvalues sit off the bin centres of an
+    m-bit register with shift 1 and scale 1, with more eigenvalues than
+    bins: phases are non-dyadic and bins merge. Returns A, phi and an
+    explicit initial state."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n_qubits
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    bins = rng.integers(1, 2**m, size=dim)
+    evals = 1.0 + (bins + rng.uniform(-0.3, 0.3, size=dim)) / 2**m
+    a = (q * evals) @ q.conj().T
+    a = operator_from_matrix(0.5 * (a + a.conj().T))
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    init = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return (
+        a,
+        StateVector(n_qubits, phi / np.linalg.norm(phi)),
+        InitialState(kind="explicit", amplitudes=tuple(init / np.linalg.norm(init))),
+    )
+
+
+KERNEL_CASES = [
+    (n, m, mode) for n, m in ((3, 3), (4, 4)) for mode in ("exact-binning", "circuit")
+]
+
+
+@pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+@pytest.mark.parametrize("n_qubits,m,mode", KERNEL_CASES)
+class TestEigenbasisKernel:
+    """The eigenbasis register kernel against the joint-space references."""
+
+    def problem(self, n_qubits, m, mode):
+        a, phi, init = _merged_problem(n_qubits, m, seed=31 * n_qubits + m)
+        qpe = QpeConfig(m=m, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=48, initial_state=init)
+        return a, phi, eth, qpe
+
+    def evolved_states(self, a, eth):
+        spec = eigendecompose(a)
+        v = spec.eigenvectors
+        coeffs = v.conj().T @ np.asarray(eth.initial_state.amplitudes)
+        for j in range(1, eth.num_steps + 1):
+            yield v @ (coeffs * np.exp(-1.0j * spec.eigenvalues * j * eth.dt))
+
+    def test_operator_series_equals_the_sandwich_expectation(self, n_qubits, m, mode):
+        a, phi, eth, qpe = self.problem(n_qubits, m, mode)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(a.dim, a.dim)) + 1j * rng.normal(size=(a.dim, a.dim))
+        delta = operator_from_matrix(x + x.conj().T)
+        w = WeightSpec(kind="inverse")
+        out = run_operator_form(a, delta, w, eth, qpe)
+        sandwich = qpe_sandwich_matrix(delta, eigendecompose(a), qpe, w)
+        expected = [np.vdot(psi, sandwich @ psi).real for psi in self.evolved_states(a, eth)]
+        np.testing.assert_allclose(out.series, expected, rtol=0, atol=1e-12)
+
+    def test_vector_series_and_residual_equal_the_per_step_pipeline(self, n_qubits, m, mode):
+        a, phi, eth, qpe = self.problem(n_qubits, m, mode)
+        spec = eigendecompose(a)
+        w = WeightSpec(kind="inverse")
+        samples, residuals = [], []
+        for psi in self.evolved_states(a, eth):
+            joint = qpe_entangle(spec, StateVector(n_qubits, psi), qpe)
+            weighted = apply_upsilon(joint, qpe, w, power="half")
+            returned = qpe_disentangle(weighted, spec, qpe)
+            overlap = np.vdot(phi.amplitudes, system_slice(returned, qpe))
+            samples.append(weighted.norm_factor**2 * abs(overlap) ** 2)
+            residuals.append(register_residual(returned, qpe))
+        out = run_vector_form(a, phi, eth, qpe)
+        np.testing.assert_allclose(out.series, samples, rtol=0, atol=1e-12)
+        assert out.register_residual == pytest.approx(np.mean(residuals), rel=0, abs=1e-12)
+
+    def test_shot_outcomes_match_the_joint_observable_spectrum(self, n_qubits, m, mode):
+        a, phi, eth, qpe = self.problem(n_qubits, m, mode)
+        spec = eigendecompose(a)
+        delta = projector_from_state(phi)
+        w = WeightSpec(kind="inverse")
+        table = upsilon_table(spec, qpe, w)
+        values, probabilities = _shot_outcomes(spec, delta, table, register_amplitudes(spec, qpe))
+        r = np.asarray(eth.initial_state.amplitudes)
+        probs = probabilities(spec.eigenvectors.conj().T @ r)
+
+        obs_values, obs_vectors = np.linalg.eigh(joint_observable_matrix(delta, spec, qpe, w))
+        joint0 = np.zeros(a.dim * qpe.register_size, dtype=complex)
+        joint0[:: qpe.register_size] = r
+        obs_probs = np.abs(obs_vectors.conj().T @ joint0) ** 2
+        for power in (1, 2, 3):
+            assert probs @ values**power == pytest.approx(obs_probs @ obs_values**power, rel=1e-12, abs=1e-12)
+
+
+class TestRealWeights:
+    # decoded bin energies -1 + 3k/8 are negative for k < 3, where the
+    # regularized inverse_sqrt weight is complex; every eigenvalue bins at k >= 6
+    QPE = dict(m=3, shift=-1.0, scale=1.0 / 3.0)
+    A = operator_from_matrix(np.diag([1.2, 1.6]).astype(complex))
+
+    def run(self, mode):
+        w = WeightSpec(kind="inverse_sqrt", policy="regularize")
+        eth = EthConfig(dt=0.3, num_steps=8)
+        return run_operator_form(self.A, identity_operator(1), w, eth, QpeConfig(mode=mode, **self.QPE))
+
+    def test_circuit_mode_rejects_complex_weights_its_leakage_reaches(self):
+        with pytest.raises(ConfigError, match="real weights"):
+            self.run("circuit")
+
+    def test_exact_binning_ignores_complex_weights_on_unreached_bins(self):
+        # the eigenvalues bin at k = 6 and 7, decoded energies 1.25 and 1.625
+        assert self.run("exact-binning").estimate == pytest.approx(0.5 * (1.25**-0.5 + 1.625**-0.5), abs=1e-12)
 
 
 class TestSwapTest:
