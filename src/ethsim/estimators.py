@@ -10,6 +10,7 @@ deliver inverse expectations and log-det gradients.
 Two realizations are provided. The operator form measures the register-
 weighted observable directly; the vector form carries the square-root
 weight on the state and reads the result from overlap probabilities.
+Both work from one Delta^eig = V^dag Delta V for kernel and diagnostics.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import numpy as np
 from .core import (
     DenseOperator,
     StateVector,
-    commutator_norm,
-    operator_from_matrix,
     projector_from_state,
     random_state,
     uniform_superposition,
@@ -32,14 +31,13 @@ from .errors import ConfigError, DomainError
 from .phase_estimation import (
     QpeConfig,
     energy_table,
+    reached_weight_table,
     register_amplitudes,
     register_indices,
     register_weights,
-    reweighted_delta,
-    upsilon_table,
 )
 from .rng import derive_seed, substream
-from .spectral import Spectrum, diagonal_ensemble, eigendecompose
+from .spectral import Spectrum, eigenbasis_commutator, eigenbasis_ensemble, in_eigenbasis, spectrum_of
 from .weights import WeightSpec
 
 INITIAL_STATE_KINDS = ("uniform", "haar", "phase-product", "explicit")
@@ -54,6 +52,8 @@ INTEGRABLE_COMMUTATOR_TOL = 1e-10
 DEFAULT_BATCHES = 10
 
 _CHUNK = 1 << 15
+# byte budget of one block of evolved eigen-coefficients (N complex rows)
+_CHUNK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,14 @@ class ThermalizationVerdict:
 class EthEstimate:
     """Raw time-average estimate with its uncertainty and bookkeeping.
 
-    estimate is the plain running mean of the sampled series; normalization
-    records any pending multiplier (the dimension factor for inverse and
-    log-det targets) that consumers apply on top.
+    estimate is the plain running mean of the sampled series; normalize()
+    turns it into a target value.
     """
 
     estimate: float
     standard_error: float
     series: np.ndarray
     running_mean: np.ndarray
-    normalization: float
     cost: CostCounters
     thermalized: ThermalizationVerdict
     register_residual: float = 0.0
@@ -191,19 +189,28 @@ def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVect
     return random_state(n_qubits, seed, ensemble=init.kind)
 
 
-def _diagnostic_energies(spec: Spectrum, qpe: QpeConfig):
-    """Energies the diagnostics weight against: the decoded bin energies in
-    exact-binning mode, the true eigenvalues (None) in circuit mode."""
-    if qpe.mode == "exact-binning":
-        return energy_table(qpe)[register_indices(spec, qpe)]
-    return None
+def _effective(spec: Spectrum, delta_eig: np.ndarray, w: WeightSpec, qpe: QpeConfig) -> np.ndarray:
+    """V^dag Delta_eff V: delta_eig with its diagonal weighted at the decoded
+    bin energies (exact binning) or the true eigenvalues (circuit mode)."""
+    binned = qpe.mode == "exact-binning"
+    energies = energy_table(qpe)[register_indices(spec, qpe)] if binned else spec.eigenvalues
+    eff = delta_eig.copy()
+    np.fill_diagonal(eff, np.diag(delta_eig) * w.evaluate(energies, spec.spectral_range))
+    return eff
+
+
+def _chunk_columns(dim: int) -> int:
+    """Time steps per block: at most _CHUNK, and at most _CHUNK_BYTES of
+    complex coefficients for an N = dim system."""
+    return min(_CHUNK, _CHUNK_BYTES // (16 * dim))
 
 
 def _evolved(spec: Spectrum, coeffs: np.ndarray, dt: float, num_steps: int):
     """Eigen-coefficients c_p(t_j) = c_p exp(-i E_p t_j) at t_j = j*dt for
-    j = 1..num_steps, yielded as column blocks of at most _CHUNK steps."""
-    for start in range(0, num_steps, _CHUNK):
-        t = dt * np.arange(start + 1, min(start + _CHUNK, num_steps) + 1)
+    j = 1..num_steps, yielded as column blocks of _chunk_columns steps."""
+    chunk = _chunk_columns(spec.dim)
+    for start in range(0, num_steps, chunk):
+        t = dt * np.arange(start + 1, min(start + chunk, num_steps) + 1)
         yield coeffs[:, None] * np.exp(-1.0j * np.outer(spec.eigenvalues, t))
 
 
@@ -214,7 +221,8 @@ def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: flo
     )
 
 
-def _diagnose(series: np.ndarray, spec: Spectrum, delta_eff: DenseOperator, diag_target: float) -> ThermalizationVerdict:
+def _diagnose(series: np.ndarray, spec: Spectrum, eff_eig: np.ndarray, diag_target: float, comm: float) -> ThermalizationVerdict:
+    """Verdict from the series, Delta_eff^eig, its diagonal target and comm = max |[A, Delta_eff]|."""
     rm = running_mean(series)
     plateau = float(rm[-1])
     mid = rm[rm.size // 2 - 1] if rm.size >= 2 else rm[-1]
@@ -222,9 +230,7 @@ def _diagnose(series: np.ndarray, spec: Spectrum, delta_eff: DenseOperator, diag
     se = batch_means_standard_error(series)
     tol = max(5.0 * se, PLATEAU_TOL_FLOOR)
 
-    trace_target = float(np.real(np.trace(delta_eff.entries))) / spec.dim
-    a_op = operator_from_matrix(spec.operator())
-    comm = commutator_norm(a_op, delta_eff)
+    trace_target = float(np.real(np.trace(eff_eig))) / spec.dim
 
     trace_gap = abs(plateau - trace_target)
     diag_gap = abs(plateau - diag_target)
@@ -269,8 +275,9 @@ def thermalization_diagnostics(series, spec: Spectrum, delta: DenseOperator, r: 
     series = np.asarray(series, dtype=float)
     if series.size < 1:
         raise DomainError("diagnostics need a nonempty series")
-    diag_target = diagonal_ensemble(spec, delta, r)
-    return _diagnose(series, spec, delta_eff=delta, diag_target=diag_target)
+    delta_eig = in_eigenbasis(spec, delta)
+    diag_target = eigenbasis_ensemble(spec, delta_eig, r)
+    return _diagnose(series, spec, delta_eig, diag_target, eigenbasis_commutator(spec, delta_eig))
 
 
 def swap_test_estimate(a: StateVector, b: StateVector, shots: int, seed: int) -> float:
@@ -312,7 +319,7 @@ def _shot_outcomes(spec, delta, table, amps):
     return np.outer(d, table).ravel(), probabilities
 
 
-def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth: EthConfig, qpe: QpeConfig) -> EthEstimate:
+def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: WeightSpec, eth: EthConfig, qpe: QpeConfig) -> EthEstimate:
     """Time-average of the register-weighted observable expectation.
 
     Per step the sampled quantity is the joint expectation of the entangle/
@@ -321,18 +328,17 @@ def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth
     (1/N) sum_p <p|delta|p> f(E_p); shots mode measures the observable in
     its eigenbasis with the configured budget per step.
     """
-    spec = eigendecompose(a)
-    if delta.dim != spec.dim:
-        raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
+    spec = spectrum_of(a)
+    delta_eig = in_eigenbasis(spec, delta)
     v = spec.eigenvectors
     amps = register_amplitudes(spec, qpe)
-    table = upsilon_table(spec, qpe, w)
-    if np.any(np.imag(table)[np.any(amps != 0, axis=0)] != 0):
+    table = reached_weight_table(amps, qpe, w)
+    if np.any(np.imag(table) != 0):
         raise ConfigError("operator form requires real weights on every register bin it reaches")
     table = table.real
     # <q,0| E^dag (delta x W) E |p,0> = delta_qp * sum_k conj(a_q[k]) w_k a_p[k]
-    g_eig = (v.conj().T @ delta.entries @ v) * ((amps.conj() * table) @ amps.T)
-    eff = reweighted_delta(delta, spec, w, energies=_diagnostic_energies(spec, qpe))
+    g_eig = delta_eig * ((amps.conj() * table) @ amps.T)
+    eff_eig = _effective(spec, delta_eig, w, qpe)
     if eth.sampling == "shots":
         values, probabilities = _shot_outcomes(spec, delta, table, amps)
 
@@ -356,11 +362,11 @@ def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth
             ) / eth.shots
             shots_drawn += eth.shots * eth.num_steps
         all_samples.append(samples)
-        diag_targets.append(diagonal_ensemble(spec, eff, r))
+        diag_targets.append(eigenbasis_ensemble(spec, eff_eig, r))
 
     series = np.concatenate(all_samples)
     rm = running_mean(series)
-    verdict = _diagnose(series, spec, delta_eff=eff, diag_target=float(np.mean(diag_targets)))
+    verdict = _diagnose(series, spec, eff_eig, float(np.mean(diag_targets)), eigenbasis_commutator(spec, eff_eig))
     steps = eth.repetitions * eth.num_steps
     cost = CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots_drawn)
     return EthEstimate(
@@ -368,13 +374,12 @@ def run_operator_form(a: DenseOperator, delta: DenseOperator, w: WeightSpec, eth
         standard_error=batch_means_standard_error(series),
         series=series,
         running_mean=rm,
-        normalization=1.0,
         cost=cost,
         thermalized=verdict,
     )
 
 
-def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: QpeConfig, policy: str = "reject") -> EthEstimate:
+def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, policy: str = "reject") -> EthEstimate:
     """Time-average of weighted overlap probabilities against |phi>.
 
     The evolved state is entangled with the register, carries the square
@@ -383,14 +388,17 @@ def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: Qpe
     time-averages to sum_p |c_p|^2 |<phi|p>|^2 / E_p. Shots mode reads the
     overlap from a simulated swap test instead of exact arithmetic.
     """
-    spec = eigendecompose(a)
+    spec = spectrum_of(a)
     if phi.dim != spec.dim:
         raise DomainError(f"phi dimension {phi.dim} does not match {spec.dim}")
     w = WeightSpec(kind="inverse", policy=policy)
     v = spec.eigenvectors
     prob = np.abs(register_amplitudes(spec, qpe)) ** 2
     b = v.conj().T @ phi.amplitudes
-    eff = reweighted_delta(projector_from_state(phi), spec, w, energies=_diagnostic_energies(spec, qpe))
+    # Delta = |phi><phi| has Delta^eig = b b^dag, and [A, Delta] = x phi^dag - phi x^dag with x = A phi
+    eff_eig = _effective(spec, np.outer(b, b.conj()), w, qpe)
+    x = v @ (spec.eigenvalues * b)
+    comm = float(np.abs(np.outer(x, phi.amplitudes.conj()) - np.outer(phi.amplitudes, x.conj())).max())
 
     all_samples = []
     diag_targets = []
@@ -418,11 +426,11 @@ def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: Qpe
             shots_drawn += eth.shots * eth.num_steps
         residuals.append(max(0.0, 1.0 - kept / norm_factor**2))
         all_samples.append(samples)
-        diag_targets.append(diagonal_ensemble(spec, eff, r))
+        diag_targets.append(eigenbasis_ensemble(spec, eff_eig, r))
 
     series = np.concatenate(all_samples)
     rm = running_mean(series)
-    verdict = _diagnose(series, spec, delta_eff=eff, diag_target=float(np.mean(diag_targets)))
+    verdict = _diagnose(series, spec, eff_eig, float(np.mean(diag_targets)), comm)
     steps = eth.repetitions * eth.num_steps
     cost = CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots_drawn)
     return EthEstimate(
@@ -430,7 +438,6 @@ def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: Qpe
         standard_error=batch_means_standard_error(series),
         series=series,
         running_mean=rm,
-        normalization=1.0,
         cost=cost,
         thermalized=verdict,
         register_residual=float(np.mean(residuals)),
@@ -439,7 +446,8 @@ def run_vector_form(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: Qpe
 
 @dataclass(frozen=True)
 class NormalizedEstimate:
-    """Dimension-normalized target value together with the raw run."""
+    """Target value: the raw time average times its normalization, which is
+    the dimension N for inverse and log-det targets and 1 for time averages."""
 
     value: float
     standard_error: float
@@ -447,20 +455,19 @@ class NormalizedEstimate:
     raw: EthEstimate
 
 
-def inverse_expectation_result(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: QpeConfig, form: str = "operator") -> NormalizedEstimate:
+def normalize(raw: EthEstimate, factor: float) -> NormalizedEstimate:
+    """The one place a normalization multiplies the estimate and its SE."""
+    return NormalizedEstimate(factor * raw.estimate, factor * raw.standard_error, factor, raw)
+
+
+def inverse_expectation_result(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, form: str = "operator") -> NormalizedEstimate:
     if form == "operator":
         raw = run_operator_form(a, projector_from_state(phi), WeightSpec(kind="inverse"), eth, qpe)
     elif form == "vector":
         raw = run_vector_form(a, phi, eth, qpe)
     else:
         raise ConfigError(f"form must be 'operator' or 'vector', got {form!r}")
-    n = float(a.dim)
-    return NormalizedEstimate(
-        value=n * raw.estimate,
-        standard_error=n * raw.standard_error,
-        normalization=n,
-        raw=raw,
-    )
+    return normalize(raw, float(a.dim))
 
 
 def estimate_inverse_expectation(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: QpeConfig, form: str = "operator") -> float:
@@ -472,15 +479,9 @@ def estimate_inverse_expectation(a: DenseOperator, phi: StateVector, eth: EthCon
     return inverse_expectation_result(a, phi, eth, qpe, form).value
 
 
-def logdet_gradient_result(a: DenseOperator, delta_mask: DenseOperator, eth: EthConfig, qpe: QpeConfig) -> NormalizedEstimate:
+def logdet_gradient_result(a: DenseOperator | Spectrum, delta_mask: DenseOperator, eth: EthConfig, qpe: QpeConfig) -> NormalizedEstimate:
     raw = run_operator_form(a, delta_mask, WeightSpec(kind="inverse"), eth, qpe)
-    n = float(a.dim)
-    return NormalizedEstimate(
-        value=n * raw.estimate,
-        standard_error=n * raw.standard_error,
-        normalization=n,
-        raw=raw,
-    )
+    return normalize(raw, float(a.dim))
 
 
 def estimate_logdet_gradient(a: DenseOperator, delta_mask: DenseOperator, eth: EthConfig, qpe: QpeConfig) -> float:

@@ -6,9 +6,10 @@ them, and weights act on the decoded bin energies rather than on the true
 eigenvalues. Dyadic spectra make the binning exact; the circuit mode also
 reproduces the finite-register leakage of real phase estimation.
 
-The estimators work from register_amplitudes and register_weights; the
-per-state pipeline and the dense joint-space matrices compute the same
-quantities step by step and are kept as the tests' references.
+The estimators work from register_amplitudes, reached_weight_table and
+register_weights; the per-state pipeline and the dense joint-space matrices
+compute the same quantities step by step and are kept as the tests'
+references.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import DenseOperator, MAX_QUBITS, StateVector
 from .errors import ConfigError, DomainError, SingularityError
-from .spectral import Spectrum
+from .spectral import Spectrum, in_eigenbasis
 from .weights import WeightSpec
 
 QPE_MODES = ("exact-binning", "circuit")
@@ -318,13 +319,11 @@ def reweighted_delta(delta: DenseOperator, spec: Spectrum, w: WeightSpec, energi
     explicit energies (e.g. decoded register energies) reweights against
     those instead of the true eigenvalues.
     """
-    if delta.dim != spec.dim:
-        raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
+    delta_eig = in_eigenbasis(spec, delta)
     if energies is None:
         energies = spec.eigenvalues
     values = w.evaluate(np.asarray(energies, dtype=float), spec.spectral_range)
     v = spec.eigenvectors
-    delta_eig = v.conj().T @ delta.entries @ v
     np.fill_diagonal(delta_eig, np.diag(delta_eig) * values)
     mat = v @ delta_eig @ v.conj().T
     if np.iscomplexobj(values):
@@ -363,28 +362,23 @@ def entangle_matrix(spec: Spectrum, config: QpeConfig) -> np.ndarray:
 
 
 def upsilon_table(spec: Spectrum, config: QpeConfig, w: WeightSpec) -> np.ndarray:
-    """Register weight table of length 2**m.
+    """Register weight table of length 2**m (see reached_weight_table)."""
+    return reached_weight_table(register_amplitudes(spec, config), config, w)
 
-    Bins in the image of the spectrum must evaluate cleanly; bins no
-    eigenvalue maps to are clamped to zero when their decoded energy is
-    singular, since no amplitude can reach them in exact binning.
+
+def reached_weight_table(amps: np.ndarray, config: QpeConfig, w: WeightSpec) -> np.ndarray:
+    """Weights of the register bins the amplitudes a[p, k] reach.
+
+    A bin counts as reached when sum_p |a_p[k]|^2 exceeds OCCUPANCY_EPS, the
+    threshold register_weights uses. Reached bins must evaluate cleanly, so
+    a singular weight there raises; every other bin holds zero, since no
+    amplitude lands on it.
     """
-    table = energy_table(config)
-    occupied_bins = set(int(k) for k in register_indices(spec, config))
-    span = config.representable_span
-    values = np.zeros(config.register_size, dtype=float)
-    complex_seen = False
-    out = values.astype(complex)
-    for k in range(config.register_size):
-        try:
-            val = w.evaluate(np.array([table[k]]), span)[0]
-        except SingularityError:
-            if k in occupied_bins:
-                raise
-            val = 0.0
-        out[k] = val
-        complex_seen = complex_seen or bool(np.iscomplex(val))
-    return out if complex_seen else out.real
+    reached = np.sum(np.abs(amps) ** 2, axis=0) > OCCUPANCY_EPS
+    values = w.evaluate(energy_table(config)[reached], config.representable_span)
+    table = np.zeros(config.register_size, dtype=np.result_type(values, float))
+    table[reached] = values
+    return table
 
 
 def joint_observable_matrix(delta: DenseOperator, spec: Spectrum, config: QpeConfig, w: WeightSpec) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .estimators import CostCounters, EthEstimate, ThermalizationVerdict
+from .estimators import CostCounters, NormalizedEstimate, ThermalizationVerdict
 
 SCHEMA_VERSION = 1
 CONSISTENCY_Z = 3.0
@@ -81,8 +81,7 @@ def report_from_estimate(
     target: str,
     form: str,
     seed: int,
-    raw: EthEstimate,
-    normalization: float,
+    estimate: NormalizedEstimate,
     oracle_value: float,
     wall_time_s: float,
     config_echo: dict,
@@ -95,14 +94,14 @@ def report_from_estimate(
         target=target,
         form=form,
         seed=seed,
-        estimate=normalization * raw.estimate,
-        standard_error=normalization * raw.standard_error,
-        normalization=normalization,
+        estimate=estimate.value,
+        standard_error=estimate.standard_error,
+        normalization=estimate.normalization,
         oracle_value=oracle_value,
-        verdict=raw.thermalized,
-        cost=raw.cost,
+        verdict=estimate.raw.thermalized,
+        cost=estimate.raw.cost,
         wall_time_s=wall_time_s,
-        register_residual=raw.register_residual,
+        register_residual=estimate.raw.register_residual,
         config_echo=config_echo,
         series_file=series_file,
         expected=expected,

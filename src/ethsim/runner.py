@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -22,10 +21,11 @@ from .core import (
     projector_from_state,
     uniform_superposition,
 )
-from .errors import ConfigError, DomainError, SingularityError
+from .errors import ConfigError, DomainError
 from .estimators import (
     inverse_expectation_result,
     logdet_gradient_result,
+    normalize,
     run_operator_form,
     run_vector_form,
     running_standard_error,
@@ -33,8 +33,8 @@ from .estimators import (
 from .fileio import read_matrix_file, write_series, write_summary
 from .presets import build_preset, diagonal_pauli_terms, sweep_eigenvalues
 from .reporting import SCHEMA_VERSION, RunReport, report_from_estimate
-from .spectral import eigendecompose, logdet_gradient_oracle, matrix_function
-from .weights import WeightSpec, singularity_window
+from .spectral import eigendecompose, logdet_gradient_oracle, trace_weighted
+from .weights import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -91,61 +91,44 @@ def build_delta(config: ExperimentConfig, n_qubits: int) -> DenseOperator:
     return projector_from_state(resolve_state(spec.state, n_qubits))
 
 
-def _inverse_oracle(a: DenseOperator, phi: StateVector) -> float:
-    spec = eigendecompose(a)
-    window = singularity_window(spec.spectral_range)
-    bad = np.abs(spec.eigenvalues) <= window
-    if np.any(bad):
-        raise SingularityError(
-            f"eigenvalue {spec.eigenvalues[bad][0]!r} inside the singularity window; "
-            "the inverse oracle is undefined"
-        )
-    inverse = matrix_function(spec, WeightSpec(kind="inverse"))
-    return float(np.real(np.vdot(phi.amplitudes, inverse.entries @ phi.amplitudes)))
-
-
-def _series_filename(basename: str, fmt: str) -> str:
-    return f"{basename}_series.{fmt}"
-
-
 def _execute_single(config: ExperimentConfig) -> ExecutionResult:
     a = build_operator(config)
     n_qubits = a.dim.bit_length() - 1
     phi = resolve_state(config.phi, n_qubits) if config.phi is not None else None
 
     start = time.perf_counter()
+    # the one eigendecomposition of the run, shared by estimator, diagnostics and oracle
+    spec = eigendecompose(a)
     if config.target == "time-average":
         if config.form == "operator":
             delta = build_delta(config, n_qubits)
-            raw = run_operator_form(a, delta, config.weight, config.eth, config.qpe)
+            raw = run_operator_form(spec, delta, config.weight, config.eth, config.qpe)
         else:
-            raw = run_vector_form(a, phi, config.eth, config.qpe, policy=config.weight.policy)
-        normalization = 1.0
+            raw = run_vector_form(spec, phi, config.eth, config.qpe, policy=config.weight.policy)
+        result = normalize(raw, 1.0)
         oracle_value = raw.thermalized.diagonal_target
     elif config.target == "inverse-expectation":
-        res = inverse_expectation_result(a, phi, config.eth, config.qpe, form=config.form)
-        raw, normalization = res.raw, res.normalization
-        oracle_value = _inverse_oracle(a, phi)
+        result = inverse_expectation_result(spec, phi, config.eth, config.qpe, form=config.form)
+        oracle_value = trace_weighted(spec, projector_from_state(phi), WeightSpec(kind="inverse", policy="reject"))
     elif config.target == "logdet-gradient":
         delta = build_delta(config, n_qubits)
-        res = logdet_gradient_result(a, delta, config.eth, config.qpe)
-        raw, normalization = res.raw, res.normalization
-        oracle_value = logdet_gradient_oracle(a, delta)
+        result = logdet_gradient_result(spec, delta, config.eth, config.qpe)
+        oracle_value = logdet_gradient_oracle(spec, delta)
     else:
         raise ConfigError(f"unknown target {config.target!r}")
     wall = time.perf_counter() - start
 
     out_dir = Path(config.outputs.out_dir)
     basename = config.outputs.basename or config.name
-    series_name = _series_filename(basename, config.outputs.format)
+    series_name = f"{basename}_series.{config.outputs.format}"
     series_path = out_dir / series_name
     write_series(
         series_path,
         config.outputs.format,
         config.eth.dt,
-        raw.series,
-        raw.running_mean,
-        running_standard_error(raw.series),
+        result.raw.series,
+        result.raw.running_mean,
+        running_standard_error(result.raw.series),
     )
 
     report = report_from_estimate(
@@ -153,8 +136,7 @@ def _execute_single(config: ExperimentConfig) -> ExecutionResult:
         target=config.target,
         form=config.form,
         seed=config.seed,
-        raw=raw,
-        normalization=normalization,
+        estimate=result,
         oracle_value=oracle_value,
         wall_time_s=wall,
         config_echo=config.to_dict(),

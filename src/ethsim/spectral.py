@@ -81,6 +81,41 @@ def eigendecompose(a: DenseOperator, degeneracy_tol: Optional[float] = None) -> 
     return Spectrum(evals, evecs, tuple(groups))
 
 
+def spectrum_of(a: DenseOperator | Spectrum) -> Spectrum:
+    """a itself if it is a Spectrum, else the eigendecomposition of a."""
+    return a if isinstance(a, Spectrum) else eigendecompose(a)
+
+
+def in_eigenbasis(spec: Spectrum, delta: DenseOperator) -> np.ndarray:
+    """Delta^eig = V^dag Delta V, the operator's matrix in A's eigenbasis."""
+    if delta.dim != spec.dim:
+        raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
+    v = spec.eigenvectors
+    return v.conj().T @ delta.entries @ v
+
+
+def eigenbasis_ensemble(spec: Spectrum, delta_eig: np.ndarray, r: StateVector) -> float:
+    """Diagonal ensemble of r from Delta^eig: the sum over degeneracy groups G
+    of c_G^dag Delta^eig_GG c_G, where c = V^dag r."""
+    if r.dim != spec.dim:
+        raise DomainError(f"dimension mismatch: spectrum {spec.dim}, state {r.dim}")
+    coeffs = spec.eigenvectors.conj().T @ r.amplitudes
+    total = 0.0 + 0.0j
+    for group in spec.degeneracy_groups:
+        idx = np.array(group)
+        cg = coeffs[idx]
+        total += cg.conj() @ delta_eig[np.ix_(idx, idx)] @ cg
+    return float(np.real(total))
+
+
+def eigenbasis_commutator(spec: Spectrum, delta_eig: np.ndarray) -> float:
+    """Max-entry magnitude of A Delta - Delta A in the computational basis,
+    from [A, Delta] = V ((E_p - E_q) Delta^eig_pq) V^dag."""
+    e = spec.eigenvalues
+    v = spec.eigenvectors
+    return float(np.abs(v @ ((e[:, None] - e[None, :]) * delta_eig) @ v.conj().T).max())
+
+
 def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:
     """f(A) = sum_p f(E_p) |p><p| under the weight's singularity policy."""
     values = f.evaluate(spec.eigenvalues, spec.spectral_range)
@@ -92,20 +127,10 @@ def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:
     return DenseOperator(spec.dim, mat, hermitian=True)
 
 
-def _eigenbasis_diagonal(spec: Spectrum, delta: DenseOperator) -> np.ndarray:
-    """<p| Delta |p> for every eigenvector p."""
-    if delta.dim != spec.dim:
-        raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
-    v = spec.eigenvectors
-    return np.einsum("ip,ij,jp->p", v.conj(), delta.entries, v)
-
-
 def trace_weighted(spec: Spectrum, delta: DenseOperator, f: WeightSpec) -> float:
     """sum_p f(E_p) <p|Delta|p>, i.e. Tr(f(A) Delta), evaluated exactly."""
     values = f.evaluate(spec.eigenvalues, spec.spectral_range)
-    diag = _eigenbasis_diagonal(spec, delta)
-    total = np.sum(values * diag)
-    return float(np.real(total))
+    return float(np.real(np.sum(values * np.diag(in_eigenbasis(spec, delta)))))
 
 
 def diagonal_ensemble(spec: Spectrum, delta: DenseOperator, r: StateVector) -> float:
@@ -114,44 +139,33 @@ def diagonal_ensemble(spec: Spectrum, delta: DenseOperator, r: StateVector) -> f
     Equals sum over degeneracy groups G of <r| P_G Delta P_G |r>; for a
     nondegenerate spectrum this is sum_p |c_p|^2 <p|Delta|p>.
     """
-    if delta.dim != spec.dim or r.dim != spec.dim:
-        raise DomainError(
-            f"dimension mismatch: spectrum {spec.dim}, delta {delta.dim}, state {r.dim}"
-        )
-    v = spec.eigenvectors
-    c = v.conj().T @ r.amplitudes
-    delta_eig = v.conj().T @ delta.entries @ v
-    total = 0.0 + 0.0j
-    for group in spec.degeneracy_groups:
-        idx = np.array(group)
-        block = delta_eig[np.ix_(idx, idx)]
-        cg = c[idx]
-        total += cg.conj() @ block @ cg
-    return float(np.real(total))
+    return eigenbasis_ensemble(spec, in_eigenbasis(spec, delta), r)
 
 
-def logdet_gradient_oracle(a: DenseOperator, delta: DenseOperator) -> float:
+def logdet_gradient_oracle(a: DenseOperator | Spectrum, delta: DenseOperator) -> float:
     """Tr(A^{-1} Delta), the derivative of ln |det A| along Delta.
 
     Computed spectrally and cross-checked against a forward difference of
-    ln |det (A + h Delta)| at h = 1e-6. The two must agree to O(h) with a
-    curvature-aware allowance; disagreement means the spectrum is too close
-    to singular for the oracle to be trusted, and raises.
+    ln |det (A + h Delta)| at h = 1e-6, A = V diag(E) V^dag. The two must agree
+    to O(h) with a curvature-aware allowance; disagreement means the spectrum
+    is too close to singular for the oracle to be trusted, and raises.
     """
-    spec = eigendecompose(a)
-    inverse = WeightSpec(kind="inverse", policy="reject")
-    value = trace_weighted(spec, delta, inverse)
+    spec = spectrum_of(a)
+    inverse = WeightSpec(kind="inverse", policy="reject").evaluate(spec.eigenvalues, spec.spectral_range)
+    delta_eig = in_eigenbasis(spec, delta)
+    value = float(np.real(inverse @ np.diag(delta_eig)))
 
     h = 1e-6
-    sign0, logdet0 = np.linalg.slogdet(a.entries)
-    sign1, logdet1 = np.linalg.slogdet(a.entries + h * delta.entries)
+    mat = spec.operator()
+    sign0, logdet0 = np.linalg.slogdet(mat)
+    sign1, logdet1 = np.linalg.slogdet(mat + h * delta.entries)
     if sign0 == 0 or sign1 == 0:
         raise SingularityError("determinant vanished inside the finite-difference check")
     fd = (logdet1 - logdet0) / h
 
-    # forward-difference truncation is (h/2) Tr((A^{-1} Delta)^2) to leading order
-    b = matrix_function(spec, inverse).entries @ delta.entries
-    curvature = float(np.abs(np.trace(b @ b)))
+    # forward-difference truncation is (h/2) Tr((A^{-1} Delta)^2) to leading order,
+    # which is sum_pq |Delta^eig_pq|^2 / (E_p E_q) for Hermitian Delta
+    curvature = float(abs(inverse @ np.abs(delta_eig) ** 2 @ inverse))
     tol = 5.0 * h * curvature + 1e-8 * (1.0 + abs(value))
     if abs(value - fd) > tol:
         raise SingularityError(

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,24 @@ class TestRunCommand:
         assert code == 3
         assert "error [singularity]" in err
 
+    @pytest.mark.parametrize("form", ["operator", "vector"])
+    def test_leaked_singular_bin_exit_code(self, tmp_path, capsys, form):
+        # circuit-mode leakage reaches bin 0, whose decoded energy is 0
+        write_matrix_file(tmp_path / "op.mat", np.diag([0.3, 0.55]).astype(complex))
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text(
+            FAST_INVERSE_CFG.replace(
+                "problem.kind = pauli-terms\nproblem.terms = 1.5 I; -0.5 Z",
+                "problem.kind = dense-matrix-file\nproblem.path = op.mat",
+            )
+            .replace("form = operator", f"form = {form}")
+            .replace("qpe.m = 2", "qpe.m = 3\nqpe.mode = circuit")
+            .replace("qpe.scale = 0.25", "qpe.scale = 1.0")
+        )
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert "error [singularity]" in err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(FAST_INVERSE_CFG)
@@ -229,10 +249,14 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_console_script_installed(self, tmp_path):
+        # the subprocess imports ethsim from this checkout's src/, installed or not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "ethsim.cli", "preset", "logdet-2q", "--out-dir", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert "estimate=" in proc.stdout

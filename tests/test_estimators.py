@@ -34,7 +34,13 @@ from ethsim import (
     uniform_superposition,
 )
 from ethsim.core import all_ones_delta, derivative_mask, identity_operator
+from ethsim import estimators
+from ethsim.core import MAX_QUBITS
+from ethsim.errors import SingularityError
 from ethsim.estimators import (
+    _CHUNK,
+    _CHUNK_BYTES,
+    _chunk_columns,
     _resolve_initial_state,
     _shot_outcomes,
     running_mean,
@@ -377,6 +383,52 @@ class TestRealWeights:
     def test_exact_binning_ignores_complex_weights_on_unreached_bins(self):
         # the eigenvalues bin at k = 6 and 7, decoded energies 1.25 and 1.625
         assert self.run("exact-binning").estimate == pytest.approx(0.5 * (1.25**-0.5 + 1.625**-0.5), abs=1e-12)
+
+
+class TestSingularRegisterBins:
+    """Both forms treat a bin as reached when the register amplitudes put
+    more than OCCUPANCY_EPS of probability there."""
+
+    A = operator_from_matrix(np.diag([0.3, 0.55]).astype(complex))
+    ETH = EthConfig(dt=0.7, num_steps=50)
+
+    @pytest.mark.parametrize("form", ["operator", "vector"])
+    def test_leaked_singular_bin_raises_in_both_forms(self, form):
+        # circuit leakage reaches bin 0, whose decoded energy is 0
+        qpe = QpeConfig(m=3, shift=0.0, scale=1.0, mode="circuit")
+        with pytest.raises(SingularityError):
+            inverse_expectation_result(self.A, uniform_superposition(1), self.ETH, qpe, form=form)
+
+    def test_unreached_singular_bin_is_zero(self):
+        # exact binning reaches only bins 2 and 4 (energies 0.25 and 0.5)
+        qpe = QpeConfig(m=3, shift=0.0, scale=1.0)
+        table = upsilon_table(eigendecompose(self.A), qpe, WeightSpec(kind="inverse"))
+        np.testing.assert_array_equal(table, [0.0, 0.0, 4.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+
+
+class TestChunkBudget:
+    def test_block_bytes_stay_within_the_budget(self):
+        assert _chunk_columns(2) == _CHUNK
+        assert _chunk_columns(1024) == 4096
+        assert 16 * 1024 * _chunk_columns(1024) == _CHUNK_BYTES == 64 * 2**20
+        assert _chunk_columns(2**MAX_QUBITS) == 256
+        for n in range(1, MAX_QUBITS + 1):
+            assert 16 * 2**n * _chunk_columns(2**n) <= _CHUNK_BYTES
+
+    @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_small_budget_series_equals_unchunked(self, monkeypatch, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=23, initial_state=init)
+        delta = projector_from_state(phi)
+        whole = [run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe), run_vector_form(a, phi, eth, qpe)]
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * a.dim * 5)
+        assert estimators._chunk_columns(a.dim) == 5
+        chunked = [run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe), run_vector_form(a, phi, eth, qpe)]
+        for x, y in zip(whole, chunked):
+            # block width changes only the order of the BLAS sums
+            np.testing.assert_allclose(y.series, x.series, rtol=1e-13, atol=1e-15)
 
 
 class TestSwapTest:
