@@ -128,7 +128,9 @@ def operator_from_matrix(entries, *, atol: float = HERMITIAN_TOL) -> DenseOperat
         raise DomainError(f"expected a square matrix, got shape {mat.shape}")
     dim = mat.shape[0]
     hermitian = bool(np.abs(mat - mat.conj().T).max() <= atol)
-    unitary = bool(np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= UNITARY_TOL)
+    # unit column norms are necessary for unitarity and cost O(N^2); only then form the N^3 product
+    unit_columns = np.abs(np.linalg.norm(mat, axis=0) - 1.0).max() <= UNITARY_TOL
+    unitary = bool(unit_columns and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= UNITARY_TOL)
     diagonal = bool(np.abs(mat - np.diag(np.diag(mat))).max() == 0)
     return DenseOperator(dim, mat, hermitian=hermitian, unitary=unitary, diagonal=diagonal)
 

@@ -215,9 +215,9 @@ def _evolved(spec: Spectrum, coeffs: np.ndarray, dt: float, num_steps: int):
 
 
 def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int) -> np.ndarray:
-    """Per-step expectation values c(t_j)^dag G c(t_j)."""
+    """Per-step c(t_j)^dag G c(t_j): G c per block, then a column dot with that fresh block conjugated in place."""
     return np.concatenate(
-        [np.einsum("qk,qp,pk->k", c.conj(), g_eig, c).real for c in _evolved(spec, coeffs, dt, num_steps)]
+        [np.einsum("qk,qk->k", g_eig @ c, np.conjugate(c, out=c)).real for c in _evolved(spec, coeffs, dt, num_steps)]
     )
 
 

@@ -2,7 +2,7 @@
 
 Matrix files: first line is the dimension (a power of two: the operator
 acts on qubits), then one row per line as whitespace-separated "re im"
-pairs, row-major. Series files: CSV with
+pairs, row-major; every entry finite. Series files: CSV with
 columns step,t,sample,running_mean,running_se (or the JSON equivalent).
 Floats are written with repr so identical runs produce identical bytes.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,30 +54,31 @@ def write_matrix_file(path, entries) -> Path:
 
 
 def read_matrix_file(path) -> np.ndarray:
+    """Read a matrix file: the header with int(), the rows in one streaming np.loadtxt pass."""
     path = Path(path)
     try:
-        tokens = path.read_text().split()
+        with path.open() as handle:
+            try:
+                dim = int(handle.readline())
+            except ValueError:
+                raise ConfigError(f"matrix file {path}: first line must be the dimension") from None
+            if dim < 2 or dim & (dim - 1):
+                raise ConfigError(f"matrix file {path}: dimension {dim} is not a power of two >= 2")
+            expect = f"expected {dim} rows of {2 * dim} numbers"
+            try:
+                with warnings.catch_warnings():
+                    # loadtxt warns on a body with no rows, which the shape check reports
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(handle, dtype=float, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ConfigError(f"matrix file {path}: {expect} ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
-    if not tokens:
-        raise ConfigError(f"matrix file {path} is empty")
-    try:
-        dim = int(tokens[0])
-    except ValueError:
-        raise ConfigError(f"matrix file {path}: first token must be the dimension")
-    if dim < 2 or dim & (dim - 1):
-        raise ConfigError(f"matrix file {path}: dimension {dim} is not a power of two >= 2")
-    expect = 1 + 2 * dim * dim
-    if len(tokens) != expect:
-        raise ConfigError(
-            f"matrix file {path}: expected {expect} numbers for dim {dim}, got {len(tokens)}"
-        )
-    try:
-        flat = np.asarray([float(t) for t in tokens[1:]])
-    except ValueError as exc:
-        raise ConfigError(f"matrix file {path}: non-numeric entry ({exc})") from exc
-    pairs = flat.reshape(dim * dim, 2)
-    return (pairs[:, 0] + 1.0j * pairs[:, 1]).reshape(dim, dim)
+    if values.shape != (dim, 2 * dim):
+        raise ConfigError(f"matrix file {path}: {expect}, got {values.size} numbers in {len(values)} rows")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"matrix file {path}: entries must be finite, found nan or inf")
+    return values.view(complex)  # each row holds re, im pairs
 
 
 def _series_rows(dt: float, series, running_mean_col, running_se_col):

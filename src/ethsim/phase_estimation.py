@@ -95,22 +95,27 @@ def register_indices(spec: Spectrum, config: QpeConfig) -> np.ndarray:
 
     The map is injective whenever eigenvalue gaps exceed 2**-m / scale; when
     distinct degeneracy groups still share a bin the collision is reported
-    through PhaseCollisionWarning, never silently absorbed.
+    through one PhaseCollisionWarning per call, never silently absorbed.
     """
     indices = np.array([phase_map(config, e) for e in spec.eigenvalues], dtype=int)
-    group_bins = {}
+    owner = {}  # bin -> first degeneracy group mapped to it
+    colliding = []
     for gi, group in enumerate(spec.degeneracy_groups):
-        for p in group:
-            k = indices[p]
-            prior = group_bins.get(k)
-            if prior is not None and prior != gi:
-                warnings.warn(
-                    f"eigenvalues {spec.eigenvalues[group[0]]} and bin-{k} neighbour map to "
-                    f"the same register index; increase m or rescale the phase map",
-                    PhaseCollisionWarning,
-                    stacklevel=2,
-                )
-            group_bins[k] = gi
+        for k in sorted(set(indices[list(group)].tolist())):
+            prior = owner.setdefault(k, gi)
+            if prior != gi:
+                colliding.append((prior, gi, k))
+    if colliding:
+        first, second, k = colliding[0]
+        count = len({g for a, b, _ in colliding for g in (a, b)})
+        warnings.warn(
+            f"{count} eigenvalue groups share register bins with other groups, first "
+            f"{spec.eigenvalues[spec.degeneracy_groups[first][0]]} and "
+            f"{spec.eigenvalues[spec.degeneracy_groups[second][0]]} in bin {k}; "
+            f"increase m or rescale the phase map",
+            PhaseCollisionWarning,
+            stacklevel=2,
+        )
     return indices
 
 

@@ -153,6 +153,22 @@ class TestRunCommand:
         assert err.startswith("error [config]")
         assert "op.mat" in err and "power of two" in err
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_matrix_entry_is_config_error(self, tmp_path, capsys, entry):
+        (tmp_path / "op.mat").write_text(f"2\n1.0 0.0 0.0 0.0\n0.0 0.0 {entry} 0.0\n")
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text(
+            FAST_INVERSE_CFG.replace(
+                "problem.kind = pauli-terms\nproblem.terms = 1.5 I; -0.5 Z",
+                "problem.kind = dense-matrix-file\nproblem.path = op.mat",
+            )
+        )
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error [config]")
+        assert "op.mat" in err and "finite" in err
+        assert "Warning" not in err
+
     def test_singular_operator_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "singular.cfg"
         cfg.write_text(

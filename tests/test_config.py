@@ -208,6 +208,70 @@ class TestMatrixFile:
         with pytest.raises(ConfigError):
             read_matrix_file(path)
 
+    @staticmethod
+    def token_reference(path):
+        """The per-token float() parser the streaming reader replaced."""
+        tokens = path.read_text().split()
+        dim = int(tokens[0])
+        return np.array([float(t) for t in tokens[1:]]).view(complex).reshape(dim, dim)
+
+    def test_large_round_trip_is_bit_identical_to_token_parser(self, tmp_path):
+        rng = np.random.default_rng(11)
+        shape = (512, 512)
+        scale = 10.0 ** rng.integers(-300, 300, size=(2,) + shape)
+        mat = rng.normal(size=shape) * scale[0] + 1j * rng.normal(size=shape) * scale[1]
+        path = tmp_path / "big.mat"
+        write_matrix_file(path, mat)
+        back = read_matrix_file(path)
+        ref = self.token_reference(path)
+        assert back.shape == ref.shape == shape
+        np.testing.assert_array_equal(back.view(np.uint64), ref.view(np.uint64))
+        np.testing.assert_array_equal(back, mat)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "2\n1.0 0.0 0.0 0.0\n0.0 0.0 1.0\n",  # ragged second row
+            "2\n1.0 0.0 0.0 0.0 0.0 0.0 1.0 0.0\n",  # right count, one line
+            "4\n" + "1.0 0.0 0.0 0.0\n" * 8,  # right count, rows of dim numbers
+            "2\n",  # header only
+            "2\n\n\n",  # header and blank lines
+        ],
+    )
+    def test_rows_must_be_one_per_line_of_two_dim_numbers(self, tmp_path, body):
+        path = tmp_path / "bad.mat"
+        path.write_text(body)
+        with pytest.raises(ConfigError, match=r"bad\.mat: expected \d+ rows of \d+ numbers"):
+            read_matrix_file(path)
+
+    def test_non_numeric_entry_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_text("2\n1.0 0.0 x 0.0\n0.0 0.0 1.0 0.0\n")
+        with pytest.raises(ConfigError, match=r"bad\.mat.*'x'"):
+            read_matrix_file(path)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "bad.mat"
+        path.write_text("2\n# identity\n1.0 0.0 0.0 0.0\n0.0 0.0 1.0 0.0\n")
+        with pytest.raises(ConfigError, match=r"bad\.mat.*'#'"):
+            read_matrix_file(path)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"2\n1.0 0.0 0.0 0.0\n0.0 {entry} 1.0 0.0\n")
+        with pytest.raises(ConfigError, match=r"bad\.mat.*finite"):
+            read_matrix_file(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "op.mat"
+        path.write_text("2\n1.0 0.5\t0.0 0.0\n0.0 0.0 -2.0 0.0\n\n\n")
+        np.testing.assert_array_equal(read_matrix_file(path), np.diag([1.0 + 0.5j, -2.0]))
+
+    def test_missing_file_names_the_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="absent.mat"):
+            read_matrix_file(tmp_path / "absent.mat")
+
 
 class TestSeriesFiles:
     SERIES = np.array([0.5, 0.7, 0.6])

@@ -95,6 +95,19 @@ class TestOperators:
         op = operator_from_matrix(np.array([[0, 2], [0, 0]], dtype=complex))
         assert not op.hermitian
 
+    def test_unitary_flag(self):
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        assert operator_from_matrix(q).unitary
+        # Hermitian, not unitary: the column norms already rule it out
+        herm = operator_from_matrix(np.diag([1.0, 2.0]).astype(complex))
+        assert herm.hermitian and not herm.unitary
+        # unit-norm columns that are not orthogonal: only the product rules it out
+        cols = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0)
+        assert not operator_from_matrix(cols).unitary
+        assert not operator_from_matrix(q + 1e-6 * np.eye(8)).unitary
+
     def test_pauli_term_matrix(self):
         np.testing.assert_array_equal(PauliTerm(2.0, "X").matrix(), SX)
         zz = PauliTerm(1.0, "ZZ").matrix()

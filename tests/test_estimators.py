@@ -53,6 +53,7 @@ from ethsim.phase_estimation import (
     qpe_disentangle,
     qpe_entangle,
     qpe_sandwich_matrix,
+    reached_weight_table,
     register_amplitudes,
     register_residual,
     system_slice,
@@ -60,6 +61,7 @@ from ethsim.phase_estimation import (
 )
 from ethsim.presets import build_preset
 from ethsim.rng import substream
+from ethsim.spectral import in_eigenbasis
 
 DYADIC_2Q = from_pauli_terms(
     2, [PauliTerm(0.625, "II"), PauliTerm(0.25, "ZI"), PauliTerm(0.125, "IZ")]
@@ -429,6 +431,47 @@ class TestChunkBudget:
         for x, y in zip(whole, chunked):
             # block width changes only the order of the BLAS sums
             np.testing.assert_allclose(y.series, x.series, rtol=1e-13, atol=1e-15)
+
+
+def _einsum_series(spec, g_eig, coeffs, dt, num_steps):
+    """The unblocked three-operand contraction _exact_series replaced, over all steps at once."""
+    c = coeffs[:, None] * np.exp(-1.0j * np.outer(spec.eigenvalues, dt * np.arange(1, num_steps + 1)))
+    return np.einsum("qk,qp,pk->k", c.conj(), g_eig, c).real
+
+
+@pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+@pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+class TestExactSeriesKernel:
+    """_exact_series against the three-operand einsum on seeded dense G."""
+
+    def kernel_inputs(self, n_qubits, mode):
+        a, _, init = _merged_problem(n_qubits, 3, seed=40 + n_qubits)
+        spec = eigendecompose(a)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        amps = register_amplitudes(spec, qpe)
+        table = reached_weight_table(amps, qpe, WeightSpec(kind="inverse")).real
+        rng = np.random.default_rng(n_qubits)
+        x = rng.normal(size=(a.dim, a.dim)) + 1j * rng.normal(size=(a.dim, a.dim))
+        g_eig = in_eigenbasis(spec, operator_from_matrix(x + x.conj().T)) * ((amps.conj() * table) @ amps.T)
+        return spec, g_eig, spec.eigenvectors.conj().T @ np.asarray(init.amplitudes)
+
+    @staticmethod
+    def assert_matches(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 6])
+    def test_matches_three_operand_einsum(self, mode, n_qubits):
+        spec, g_eig, coeffs = self.kernel_inputs(n_qubits, mode)
+        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 300)
+        self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
+
+    def test_concatenated_blocks_match(self, monkeypatch, mode):
+        spec, g_eig, coeffs = self.kernel_inputs(3, mode)
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
+        assert estimators._chunk_columns(spec.dim) == 7
+        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 50)  # 8 blocks, the last one short
+        self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
 
 
 class TestSwapTest:

@@ -83,6 +83,17 @@ class TestPhaseMap:
         with pytest.warns(PhaseCollisionWarning):
             register_indices(SIGMA_Z, config)
 
+    def test_collisions_warn_once_per_call(self):
+        # 64 distinct levels in [0.1, 0.9] fall into the 7 bins 1..7 of a 3-bit register
+        spec = eigendecompose(operator_from_matrix(np.diag(np.linspace(0.1, 0.9, 64)).astype(complex)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            register_indices(spec, QpeConfig(m=3, shift=0.0, scale=1.0))
+        assert [w.category for w in caught] == [PhaseCollisionWarning]
+        message = str(caught[0].message)
+        assert message.startswith("64 eigenvalue groups share register bins")
+        assert f"first 0.1 and {spec.eigenvalues[1]} in bin 1" in message
+
     def test_degenerate_levels_do_not_warn(self):
         spec = eigendecompose(identity_operator(1))
         config = QpeConfig(m=2, shift=0.0, scale=0.25)
