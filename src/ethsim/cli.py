@@ -4,7 +4,8 @@
     ethsim preset <name> [--emit-config] [--seed N] [--out-dir DIR] [--format ...]
     ethsim compare <summary-a> <summary-b>
 
-Exit codes: 0 success, 2 config error, 3 singularity, 4 domain error.
+Exit codes: 0 success, 2 config error, 3 singularity, 4 domain error (also
+numpy's LinAlgError and MemoryError).
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import SERIES_FORMATS, load_config, to_keyvalue_text
-from .errors import SimulationError
+from .errors import DomainError, SimulationError
 from .fileio import atomic_write_text, read_summary
 from .presets import PRESET_NAMES, build_preset
 from .reporting import compare_summaries
@@ -117,6 +120,10 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        # numerical failure or a problem too large for memory: bad input, not a crash
+        print(f"error [{DomainError.category}]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return DomainError.exit_code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from .phase_estimation import (
     energy_table,
     reached_weight_table,
     register_amplitudes,
-    register_indices,
     register_weights,
 )
 from .rng import derive_seed, substream
@@ -189,11 +188,11 @@ def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVect
     return random_state(n_qubits, seed, ensemble=init.kind)
 
 
-def _effective(spec: Spectrum, delta_eig: np.ndarray, w: WeightSpec, qpe: QpeConfig) -> np.ndarray:
-    """V^dag Delta_eff V: delta_eig with its diagonal weighted at the decoded
-    bin energies (exact binning) or the true eigenvalues (circuit mode)."""
+def _effective(spec: Spectrum, delta_eig: np.ndarray, w: WeightSpec, qpe: QpeConfig, amps: np.ndarray) -> np.ndarray:
+    """V^dag Delta_eff V: delta_eig with its diagonal weighted at the decoded bin
+    energies (exact binning: the one-hot rows of amps) or the true eigenvalues."""
     binned = qpe.mode == "exact-binning"
-    energies = energy_table(qpe)[register_indices(spec, qpe)] if binned else spec.eigenvalues
+    energies = energy_table(qpe)[np.abs(amps).argmax(axis=1)] if binned else spec.eigenvalues
     eff = delta_eig.copy()
     np.fill_diagonal(eff, np.diag(delta_eig) * w.evaluate(energies, spec.spectral_range))
     return eff
@@ -319,6 +318,42 @@ def _shot_outcomes(spec, delta, table, amps):
     return np.outer(d, table).ravel(), probabilities
 
 
+def _time_average(spec: Spectrum, eth: EthConfig, eff_eig: np.ndarray, draw, commutator) -> EthEstimate:
+    """The repetition loop both forms share.
+
+    Per repetition: resolve the initial state r, take c = V^dag r, sample the
+    series with draw(rep, c) -> (samples, register residual) and record the
+    diagonal ensemble of Delta_eff^eig. The concatenated series then gets its
+    running mean, SE and verdict; commutator() is called once, after the series.
+    """
+    all_samples = []
+    diag_targets = []
+    residuals = []
+    for rep in range(eth.repetitions):
+        r = _resolve_initial_state(eth, int(np.log2(spec.dim)), rep)
+        if r.dim != spec.dim:
+            raise DomainError(f"initial state dimension {r.dim} does not match {spec.dim}")
+        samples, residual = draw(rep, spec.eigenvectors.conj().T @ r.amplitudes)
+        all_samples.append(samples)
+        residuals.append(residual)
+        diag_targets.append(eigenbasis_ensemble(spec, eff_eig, r))
+
+    series = np.concatenate(all_samples)
+    rm = running_mean(series)
+    verdict = _diagnose(series, spec, eff_eig, float(np.mean(diag_targets)), commutator())
+    steps = eth.repetitions * eth.num_steps
+    shots = eth.shots * steps if eth.sampling == "shots" else 0
+    return EthEstimate(
+        estimate=float(rm[-1]),
+        standard_error=batch_means_standard_error(series),
+        series=series,
+        running_mean=rm,
+        cost=CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots),
+        thermalized=verdict,
+        register_residual=float(np.mean(residuals)),
+    )
+
+
 def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: WeightSpec, eth: EthConfig, qpe: QpeConfig) -> EthEstimate:
     """Time-average of the register-weighted observable expectation.
 
@@ -330,7 +365,6 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     """
     spec = spectrum_of(a)
     delta_eig = in_eigenbasis(spec, delta)
-    v = spec.eigenvectors
     amps = register_amplitudes(spec, qpe)
     table = reached_weight_table(amps, qpe, w)
     if np.any(np.imag(table) != 0):
@@ -338,45 +372,21 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     table = table.real
     # <q,0| E^dag (delta x W) E |p,0> = delta_qp * sum_k conj(a_q[k]) w_k a_p[k]
     g_eig = delta_eig * ((amps.conj() * table) @ amps.T)
-    eff_eig = _effective(spec, delta_eig, w, qpe)
+    eff_eig = _effective(spec, delta_eig, w, qpe, amps)
     if eth.sampling == "shots":
         values, probabilities = _shot_outcomes(spec, delta, table, amps)
 
-    all_samples = []
-    diag_targets = []
-    shots_drawn = 0
-    for rep in range(eth.repetitions):
-        r = _resolve_initial_state(eth, int(np.log2(spec.dim)), rep)
-        if r.dim != spec.dim:
-            raise DomainError(f"initial state dimension {r.dim} does not match {spec.dim}")
-        coeffs = v.conj().T @ r.amplitudes
+    def draw(rep, coeffs):
         if eth.sampling == "exact":
-            samples = _exact_series(spec, g_eig, coeffs, eth.dt, eth.num_steps)
-        else:
-            columns = (c for block in _evolved(spec, coeffs, eth.dt, eth.num_steps) for c in block.T)
-            samples = np.array(
-                [
-                    substream(eth.seed, "shots", rep, j).multinomial(eth.shots, probabilities(c)) @ values
-                    for j, c in enumerate(columns)
-                ]
-            ) / eth.shots
-            shots_drawn += eth.shots * eth.num_steps
-        all_samples.append(samples)
-        diag_targets.append(eigenbasis_ensemble(spec, eff_eig, r))
+            return _exact_series(spec, g_eig, coeffs, eth.dt, eth.num_steps), 0.0
+        columns = (c for block in _evolved(spec, coeffs, eth.dt, eth.num_steps) for c in block.T)
+        totals = [
+            substream(eth.seed, "shots", rep, j).multinomial(eth.shots, probabilities(c)) @ values
+            for j, c in enumerate(columns)
+        ]
+        return np.array(totals) / eth.shots, 0.0
 
-    series = np.concatenate(all_samples)
-    rm = running_mean(series)
-    verdict = _diagnose(series, spec, eff_eig, float(np.mean(diag_targets)), eigenbasis_commutator(spec, eff_eig))
-    steps = eth.repetitions * eth.num_steps
-    cost = CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots_drawn)
-    return EthEstimate(
-        estimate=float(rm[-1]),
-        standard_error=batch_means_standard_error(series),
-        series=series,
-        running_mean=rm,
-        cost=cost,
-        thermalized=verdict,
-    )
+    return _time_average(spec, eth, eff_eig, draw, lambda: eigenbasis_commutator(spec, eff_eig))
 
 
 def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, policy: str = "reject") -> EthEstimate:
@@ -393,21 +403,14 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
         raise DomainError(f"phi dimension {phi.dim} does not match {spec.dim}")
     w = WeightSpec(kind="inverse", policy=policy)
     v = spec.eigenvectors
-    prob = np.abs(register_amplitudes(spec, qpe)) ** 2
+    amps = register_amplitudes(spec, qpe)
+    prob = np.abs(amps) ** 2
     b = v.conj().T @ phi.amplitudes
     # Delta = |phi><phi| has Delta^eig = b b^dag, and [A, Delta] = x phi^dag - phi x^dag with x = A phi
-    eff_eig = _effective(spec, np.outer(b, b.conj()), w, qpe)
+    eff_eig = _effective(spec, np.outer(b, b.conj()), w, qpe, amps)
     x = v @ (spec.eigenvalues * b)
-    comm = float(np.abs(np.outer(x, phi.amplitudes.conj()) - np.outer(phi.amplitudes, x.conj())).max())
 
-    all_samples = []
-    diag_targets = []
-    residuals = []
-    shots_drawn = 0
-    n_qubits = int(np.log2(spec.dim))
-    for rep in range(eth.repetitions):
-        r = _resolve_initial_state(eth, n_qubits, rep)
-        coeffs = v.conj().T @ r.amplitudes
+    def draw(rep, coeffs):
         # Bin occupancies do not depend on t. After entangling, weighting the
         # occupied bins by sqrt(w) and disentangling, the |0> register slice
         # is V (gamma * c(t)) / norm_factor with gamma_p = sum_k |a_p[k]|^2 s_k.
@@ -419,29 +422,16 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
         if eth.sampling == "shots":
             samples = kept * np.array(
                 [
-                    _swap_test_draw(x / kept, eth.shots, derive_seed(eth.seed, "shots", rep, j))
-                    for j, x in enumerate(samples)
+                    _swap_test_draw(sq / kept, eth.shots, derive_seed(eth.seed, "shots", rep, j))
+                    for j, sq in enumerate(samples)
                 ]
             )
-            shots_drawn += eth.shots * eth.num_steps
-        residuals.append(max(0.0, 1.0 - kept / norm_factor**2))
-        all_samples.append(samples)
-        diag_targets.append(eigenbasis_ensemble(spec, eff_eig, r))
+        return samples, max(0.0, 1.0 - kept / norm_factor**2)
 
-    series = np.concatenate(all_samples)
-    rm = running_mean(series)
-    verdict = _diagnose(series, spec, eff_eig, float(np.mean(diag_targets)), comm)
-    steps = eth.repetitions * eth.num_steps
-    cost = CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots_drawn)
-    return EthEstimate(
-        estimate=float(rm[-1]),
-        standard_error=batch_means_standard_error(series),
-        series=series,
-        running_mean=rm,
-        cost=cost,
-        thermalized=verdict,
-        register_residual=float(np.mean(residuals)),
-    )
+    def commutator():
+        return float(np.abs(np.outer(x, phi.amplitudes.conj()) - np.outer(phi.amplitudes, x.conj())).max())
+
+    return _time_average(spec, eth, eff_eig, draw, commutator)
 
 
 @dataclass(frozen=True)

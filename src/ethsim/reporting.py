@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .estimators import CostCounters, NormalizedEstimate, ThermalizationVerdict
+from .estimators import CostCounters, ThermalizationVerdict
 
 SCHEMA_VERSION = 1
 CONSISTENCY_Z = 3.0
@@ -73,40 +73,6 @@ class RunReport:
             "series_file": self.series_file,
             "config": self.config_echo,
         }
-
-
-def report_from_estimate(
-    *,
-    name: str,
-    target: str,
-    form: str,
-    seed: int,
-    estimate: NormalizedEstimate,
-    oracle_value: float,
-    wall_time_s: float,
-    config_echo: dict,
-    series_file: str,
-    expected: Optional[float] = None,
-    tolerance: Optional[float] = None,
-) -> RunReport:
-    return RunReport(
-        name=name,
-        target=target,
-        form=form,
-        seed=seed,
-        estimate=estimate.value,
-        standard_error=estimate.standard_error,
-        normalization=estimate.normalization,
-        oracle_value=oracle_value,
-        verdict=estimate.raw.thermalized,
-        cost=estimate.raw.cost,
-        wall_time_s=wall_time_s,
-        register_residual=estimate.raw.register_residual,
-        config_echo=config_echo,
-        series_file=series_file,
-        expected=expected,
-        tolerance=tolerance,
-    )
 
 
 def compare_summaries(a: dict, b: dict) -> dict:

@@ -32,7 +32,7 @@ from .estimators import (
 )
 from .fileio import read_matrix_file, write_series, write_summary
 from .presets import build_preset, diagonal_pauli_terms, sweep_eigenvalues
-from .reporting import SCHEMA_VERSION, RunReport, report_from_estimate
+from .reporting import SCHEMA_VERSION, RunReport
 from .spectral import eigendecompose, logdet_gradient_oracle, trace_weighted
 from .weights import WeightSpec
 
@@ -131,14 +131,19 @@ def _execute_single(config: ExperimentConfig) -> ExecutionResult:
         running_standard_error(result.raw.series),
     )
 
-    report = report_from_estimate(
+    report = RunReport(
         name=config.name,
         target=config.target,
         form=config.form,
         seed=config.seed,
-        estimate=result,
+        estimate=result.value,
+        standard_error=result.standard_error,
+        normalization=result.normalization,
         oracle_value=oracle_value,
+        verdict=result.raw.thermalized,
+        cost=result.raw.cost,
         wall_time_s=wall,
+        register_residual=result.raw.register_residual,
         config_echo=config.to_dict(),
         series_file=series_name,
         expected=config.expected,

@@ -207,6 +207,19 @@ class TestRunCommand:
         name = "tiny-inverse_series.csv"
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "exc", [np.linalg.LinAlgError("Eigenvalues did not converge"), MemoryError()], ids=["linalg", "memory"]
+    )
+    def test_numerical_failure_is_domain_error(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(a):
+            raise exc
+
+        monkeypatch.setattr("ethsim.runner.eigendecompose", fail)
+        code, _, err = run_cli(capsys, "preset", "inverse-2q", "--out-dir", str(tmp_path))
+        assert code == 4
+        assert err.startswith(f"error [domain]: {type(exc).__name__}")
+        assert "Traceback" not in err
+
 
 class TestCompareCommand:
     def _write_summary(self, path, estimate, se, name="x", target="inverse-expectation"):

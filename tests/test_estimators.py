@@ -1,5 +1,6 @@
 """Time-average estimators: exact-mode values, shot statistics, diagnostics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from ethsim import (
     EthConfig,
     InitialState,
     PauliTerm,
+    PhaseCollisionWarning,
     QpeConfig,
     StateVector,
     WeightSpec,
@@ -20,6 +22,7 @@ from ethsim import (
     eigendecompose,
     estimate_inverse_expectation,
     estimate_logdet_gradient,
+    execute_experiment,
     from_pauli_terms,
     inverse_expectation_result,
     logdet_gradient_oracle,
@@ -431,6 +434,69 @@ class TestChunkBudget:
         for x, y in zip(whole, chunked):
             # block width changes only the order of the BLAS sums
             np.testing.assert_allclose(y.series, x.series, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+class TestTimeAverageDriver:
+    """The repetition loop both forms share: restarts, concatenation, means, costs."""
+
+    @staticmethod
+    def run(form, a, phi, eth, qpe):
+        if form == "operator":
+            return run_operator_form(a, projector_from_state(phi), WeightSpec(kind="inverse"), eth, qpe)
+        return run_vector_form(a, phi, eth, qpe)
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    @pytest.mark.parametrize("form", ["operator", "vector"])
+    def test_repetitions_concatenate_single_runs(self, form, mode):
+        a, phi, _ = _merged_problem(3, 3, seed=23)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=17, initial_state=InitialState(kind="haar", seed=29), repetitions=3)
+        whole = self.run(form, a, phi, eth, qpe)
+
+        def single(rep):
+            # one repetition, started as an explicit state from the state repetition rep restarts from
+            state = InitialState(kind="explicit", amplitudes=tuple(_resolve_initial_state(eth, 3, rep).amplitudes))
+            return self.run(form, a, phi, dataclasses.replace(eth, repetitions=1, initial_state=state), qpe)
+
+        singles = [single(rep) for rep in range(3)]
+        np.testing.assert_array_equal(whole.series, np.concatenate([s.series for s in singles]))
+        assert whole.thermalized.diagonal_target == np.mean([s.thermalized.diagonal_target for s in singles])
+        assert whole.register_residual == np.mean([s.register_residual for s in singles])
+        assert whole.cost.time_steps == 3 * 17
+
+    @pytest.mark.parametrize("form", ["operator", "vector"])
+    def test_shot_count_is_repetitions_times_steps_times_shots(self, form):
+        a, phi, init = _merged_problem(2, 3, seed=5)
+        eth = EthConfig(dt=0.37, num_steps=11, sampling="shots", shots=7, seed=3, initial_state=init, repetitions=3)
+        out = self.run(form, a, phi, eth, QpeConfig(m=3, shift=1.0, scale=1.0))
+        assert out.cost == estimators.CostCounters(time_steps=33, gate_tally=99, shots=3 * 11 * 7)
+
+    def test_initial_state_of_another_dimension_is_domain_error(self):
+        # a 3x3 operator: the uniform initial state on int(log2 3) = 1 qubit has dimension 2
+        a = operator_from_matrix(np.diag([1.1, 1.4, 1.8]))
+        delta = operator_from_matrix(np.eye(3))
+        eth = EthConfig(dt=0.1, num_steps=4)
+        with pytest.raises(DomainError, match="initial state dimension 2 does not match 3"):
+            run_operator_form(a, delta, WeightSpec(kind="unit"), eth, QpeConfig(m=3, shift=1.0, scale=1.0))
+
+
+class TestOneRegisterPass:
+    @staticmethod
+    def collisions(config, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            execute_experiment(config.with_outputs(out_dir=str(tmp_path)))
+        return [w for w in caught if issubclass(w.category, PhaseCollisionWarning)]
+
+    def test_exact_binning_run_warns_once(self, tmp_path):
+        # paper-example merges both levels into one bin on purpose
+        assert len(self.collisions(build_preset("paper-example"), tmp_path)) == 1
+
+    def test_circuit_run_does_not_warn(self, tmp_path):
+        config = build_preset("paper-example")
+        config = dataclasses.replace(config, qpe=dataclasses.replace(config.qpe, mode="circuit"))
+        assert self.collisions(config, tmp_path) == []
 
 
 def _einsum_series(spec, g_eig, coeffs, dt, num_steps):
