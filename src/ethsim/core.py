@@ -73,13 +73,15 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Dense square operator with validated structure flags."""
+    """Dense square operator with validated structure flags and, when its
+    builder knows them, factors (L, R): two N x r arrays with entries = L R^dag."""
 
     dim: int
     entries: np.ndarray
     hermitian: bool = False
     unitary: bool = False
     diagonal: bool = False
+    factors: tuple | None = None
 
     def __post_init__(self):
         mat = _frozen_array(self.entries)
@@ -97,6 +99,11 @@ class DenseOperator:
             off = mat - np.diag(np.diag(mat))
             if np.abs(off).max() > 0:
                 raise DomainError("diagonal flag set but off-diagonal entries are nonzero")
+        if self.factors is not None:
+            left, right = (_frozen_array(f) for f in self.factors)
+            if left.shape != right.shape or left.shape[:-1] != (self.dim,) or np.abs(left @ right.conj().T - mat).max() > HERMITIAN_TOL:
+                raise DomainError(f"factors of shapes {left.shape} and {right.shape} do not give the entries as L R^dag")
+            object.__setattr__(self, "factors", (left, right))
         object.__setattr__(self, "entries", mat)
 
 
@@ -213,7 +220,7 @@ def projector_from_state(phi: StateVector) -> DenseOperator:
     mat = np.outer(phi.amplitudes, phi.amplitudes.conj())
     # symmetrize away the last-bit rounding so the hermitian flag validates
     mat = 0.5 * (mat + mat.conj().T)
-    return DenseOperator(phi.dim, mat, hermitian=True)
+    return DenseOperator(phi.dim, mat, hermitian=True, factors=(phi.amplitudes[:, None],) * 2)
 
 
 def qft_matrix(n_qubits: int) -> DenseOperator:
@@ -256,6 +263,7 @@ def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
 
     Values at repeated positions accumulate. The assembled matrix must be
     Hermitian within 1e-12, otherwise the mask cannot serve as an observable.
+    Its factors are its nonzero columns and the unit vectors that select them.
     """
     _check_qubit_count(n_qubits)
     dim = 2**n_qubits
@@ -267,7 +275,8 @@ def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
     dev = float(np.abs(mat - mat.conj().T).max())
     if dev > HERMITIAN_TOL:
         raise DomainError(f"derivative mask is not Hermitian: max |M - M^dag| = {dev}")
-    return DenseOperator(dim, mat, hermitian=True)
+    cols = np.flatnonzero(np.abs(mat).max(axis=0))
+    return DenseOperator(dim, mat, hermitian=True, factors=(mat[:, cols], 1.0 * (np.arange(dim)[:, None] == cols)))
 
 
 def identity_operator(n_qubits: int) -> DenseOperator:

@@ -36,7 +36,7 @@ from .phase_estimation import (
     register_weights,
 )
 from .rng import derive_seed, substream
-from .spectral import Spectrum, eigenbasis_commutator, eigenbasis_ensemble, in_eigenbasis, spectrum_of
+from .spectral import Spectrum, eigenbasis_ensemble, in_eigenbasis, spectral_commutator_norm, spectrum_of
 from .weights import WeightSpec
 
 INITIAL_STATE_KINDS = ("uniform", "haar", "phase-product", "explicit")
@@ -52,7 +52,7 @@ DEFAULT_BATCHES = 10
 
 _CHUNK = 1 << 15
 # byte budget of one block of evolved eigen-coefficients (N complex rows)
-_CHUNK_BYTES = 64 << 20
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -204,20 +204,39 @@ def _chunk_columns(dim: int) -> int:
     return min(_CHUNK, _CHUNK_BYTES // (16 * dim))
 
 
-def _evolved(spec: Spectrum, coeffs: np.ndarray, dt: float, num_steps: int):
+def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int):
     """Eigen-coefficients c_p(t_j) = c_p exp(-i E_p t_j) at t_j = j*dt for
     j = 1..num_steps, yielded as column blocks of _chunk_columns steps."""
-    chunk = _chunk_columns(spec.dim)
+    chunk = _chunk_columns(eigenvalues.size)
     for start in range(0, num_steps, chunk):
         t = dt * np.arange(start + 1, min(start + chunk, num_steps) + 1)
-        yield coeffs[:, None] * np.exp(-1.0j * np.outer(spec.eigenvalues, t))
+        block = np.outer(-1.0j * eigenvalues, t)
+        np.exp(block, out=block)
+        block *= coeffs[:, None]
+        yield block
 
 
-def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int) -> np.ndarray:
-    """Per-step c(t_j)^dag G c(t_j): G c per block, then a column dot with that fresh block conjugated in place."""
-    return np.concatenate(
-        [np.einsum("qk,qk->k", g_eig @ c, np.conjugate(c, out=c)).real for c in _evolved(spec, coeffs, dt, num_steps)]
-    )
+def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, amps=None) -> np.ndarray:
+    """Per-step c(t_j)^dag G c(t_j) = sum_k c_k^dag G_kk c_k over register bins k.
+
+    Rows of amps that are all one-hot (exact binning) make G_qp vanish unless
+    q and p share a bin; dense circuit rows, or no amps, make one bin. Sorted
+    by bin once, each bin's rows c_k of a block of evolved coefficients are a
+    view: G_kk c_k, then a column dot with c_k conjugated in place.
+    """
+    one_hot = amps is not None and np.all(np.count_nonzero(amps, axis=1) == 1)
+    bins = np.abs(amps).argmax(axis=1) if one_hot else np.zeros(spec.dim, int)
+    order = np.argsort(bins, kind="stable")
+    splits = np.flatnonzero(np.diff(bins[order])) + 1
+    blocks = [g_eig[np.ix_(idx, idx)] for idx in np.split(order, splits)]
+    series = np.zeros(num_steps)
+    start = 0
+    for c in _evolved(spec.eigenvalues[order], coeffs[order], dt, num_steps):
+        total = series[start : start + c.shape[1]]
+        start += c.shape[1]
+        for g, ck in zip(blocks, np.split(c, splits)):
+            total += np.einsum("qk,qk->k", g @ ck, np.conjugate(ck, out=ck)).real
+    return series
 
 
 def _diagnose(series: np.ndarray, spec: Spectrum, eff_eig: np.ndarray, diag_target: float, comm: float) -> ThermalizationVerdict:
@@ -276,7 +295,7 @@ def thermalization_diagnostics(series, spec: Spectrum, delta: DenseOperator, r: 
         raise DomainError("diagnostics need a nonempty series")
     delta_eig = in_eigenbasis(spec, delta)
     diag_target = eigenbasis_ensemble(spec, delta_eig, r)
-    return _diagnose(series, spec, delta_eig, diag_target, eigenbasis_commutator(spec, delta_eig))
+    return _diagnose(series, spec, delta_eig, diag_target, spectral_commutator_norm(spec, delta))
 
 
 def swap_test_estimate(a: StateVector, b: StateVector, shots: int, seed: int) -> float:
@@ -378,15 +397,15 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
 
     def draw(rep, coeffs):
         if eth.sampling == "exact":
-            return _exact_series(spec, g_eig, coeffs, eth.dt, eth.num_steps), 0.0
-        columns = (c for block in _evolved(spec, coeffs, eth.dt, eth.num_steps) for c in block.T)
+            return _exact_series(spec, g_eig, coeffs, eth.dt, eth.num_steps, amps), 0.0
+        columns = (c for block in _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps) for c in block.T)
         totals = [
             substream(eth.seed, "shots", rep, j).multinomial(eth.shots, probabilities(c)) @ values
             for j, c in enumerate(columns)
         ]
         return np.array(totals) / eth.shots, 0.0
 
-    return _time_average(spec, eth, eff_eig, draw, lambda: eigenbasis_commutator(spec, eff_eig))
+    return _time_average(spec, eth, eff_eig, draw, lambda: spectral_commutator_norm(spec, delta))
 
 
 def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, policy: str = "reject") -> EthEstimate:
@@ -402,13 +421,11 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
     if phi.dim != spec.dim:
         raise DomainError(f"phi dimension {phi.dim} does not match {spec.dim}")
     w = WeightSpec(kind="inverse", policy=policy)
-    v = spec.eigenvectors
     amps = register_amplitudes(spec, qpe)
     prob = np.abs(amps) ** 2
-    b = v.conj().T @ phi.amplitudes
-    # Delta = |phi><phi| has Delta^eig = b b^dag, and [A, Delta] = x phi^dag - phi x^dag with x = A phi
+    b = spec.eigenvectors.conj().T @ phi.amplitudes
+    # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag
     eff_eig = _effective(spec, np.outer(b, b.conj()), w, qpe, amps)
-    x = v @ (spec.eigenvalues * b)
 
     def draw(rep, coeffs):
         # Bin occupancies do not depend on t. After entangling, weighting the
@@ -417,7 +434,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
         s, norm_factor = register_weights(np.abs(coeffs) ** 2 @ prob, qpe, w, power="half")
         gamma = prob @ s
         u = b.conj() * gamma
-        samples = np.concatenate([np.abs(u @ c) ** 2 for c in _evolved(spec, coeffs, eth.dt, eth.num_steps)])
+        samples = np.concatenate([np.abs(u @ c) ** 2 for c in _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps)])
         kept = float(np.sum(np.abs(gamma * coeffs) ** 2))  # (norm_factor * slice norm)^2
         if eth.sampling == "shots":
             samples = kept * np.array(
@@ -428,10 +445,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
             )
         return samples, max(0.0, 1.0 - kept / norm_factor**2)
 
-    def commutator():
-        return float(np.abs(np.outer(x, phi.amplitudes.conj()) - np.outer(phi.amplitudes, x.conj())).max())
-
-    return _time_average(spec, eth, eff_eig, draw, commutator)
+    return _time_average(spec, eth, eff_eig, draw, lambda: spectral_commutator_norm(spec, projector_from_state(phi)))
 
 
 @dataclass(frozen=True)

@@ -87,33 +87,40 @@ def spectrum_of(a: DenseOperator | Spectrum) -> Spectrum:
 
 
 def in_eigenbasis(spec: Spectrum, delta: DenseOperator) -> np.ndarray:
-    """Delta^eig = V^dag Delta V, the operator's matrix in A's eigenbasis."""
+    """Delta^eig = V^dag Delta V, the operator's matrix in A's eigenbasis, as
+    (V^dag L)(V^dag R)^dag in O(N^2 r). Without factors Delta is (entries, I)."""
     if delta.dim != spec.dim:
         raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
-    v = spec.eigenvectors
-    return v.conj().T @ delta.entries @ v
+    vh = spec.eigenvectors.conj().T
+    left, right = delta.factors or (delta.entries, None)
+    return (vh @ left) @ (spec.eigenvectors if right is None else (vh @ right).conj().T)
 
 
 def eigenbasis_ensemble(spec: Spectrum, delta_eig: np.ndarray, r: StateVector) -> float:
     """Diagonal ensemble of r from Delta^eig: the sum over degeneracy groups G
-    of c_G^dag Delta^eig_GG c_G, where c = V^dag r."""
+    of c_G^dag Delta^eig_GG c_G, where c = V^dag r. Singleton groups add up
+    in one sum; only groups of two or more take a block product each."""
     if r.dim != spec.dim:
         raise DomainError(f"dimension mismatch: spectrum {spec.dim}, state {r.dim}")
     coeffs = spec.eigenvectors.conj().T @ r.amplitudes
-    total = 0.0 + 0.0j
-    for group in spec.degeneracy_groups:
-        idx = np.array(group)
-        cg = coeffs[idx]
-        total += cg.conj() @ delta_eig[np.ix_(idx, idx)] @ cg
+    singles = [group[0] for group in spec.degeneracy_groups if len(group) == 1]
+    total = np.abs(coeffs[singles]) ** 2 @ np.diagonal(delta_eig)[singles]
+    for idx in (np.array(group) for group in spec.degeneracy_groups if len(group) > 1):
+        total += coeffs[idx].conj() @ delta_eig[np.ix_(idx, idx)] @ coeffs[idx]
     return float(np.real(total))
 
 
-def eigenbasis_commutator(spec: Spectrum, delta_eig: np.ndarray) -> float:
-    """Max-entry magnitude of A Delta - Delta A in the computational basis,
-    from [A, Delta] = V ((E_p - E_q) Delta^eig_pq) V^dag."""
-    e = spec.eigenvalues
-    v = spec.eigenvectors
-    return float(np.abs(v @ ((e[:, None] - e[None, :]) * delta_eig) @ v.conj().T).max())
+def spectral_commutator_norm(spec: Spectrum, delta: DenseOperator) -> float:
+    """Max-entry magnitude of A Delta - Delta A in the computational basis for
+    a Hermitian Delta = L R^dag: X - X^dag with X = A Delta = V (E * V^dag L) R^dag,
+    in O(N^2 r). A Delta_eff that differs from Delta only on the eigenbasis
+    diagonal has the same commutator, since that diagonal commutes with A."""
+    if not delta.hermitian and np.abs(delta.entries - delta.entries.conj().T).max() > HERMITIAN_TOL:
+        raise DomainError("the commutator norm from the spectrum needs a Hermitian observable")
+    left, right = delta.factors or (delta.entries, None)
+    x = spec.eigenvectors @ (spec.eigenvalues[:, None] * (spec.eigenvectors.conj().T @ left))
+    x = x if right is None else x @ right.conj().T
+    return float(np.abs(x - x.conj().T).max())
 
 
 def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:

@@ -58,13 +58,14 @@ from ethsim.phase_estimation import (
     qpe_sandwich_matrix,
     reached_weight_table,
     register_amplitudes,
+    register_indices,
     register_residual,
     system_slice,
     upsilon_table,
 )
 from ethsim.presets import build_preset
 from ethsim.rng import substream
-from ethsim.spectral import in_eigenbasis
+from ethsim.spectral import Spectrum, in_eigenbasis
 
 DYADIC_2Q = from_pauli_terms(
     2, [PauliTerm(0.625, "II"), PauliTerm(0.25, "ZI"), PauliTerm(0.125, "IZ")]
@@ -414,9 +415,9 @@ class TestSingularRegisterBins:
 class TestChunkBudget:
     def test_block_bytes_stay_within_the_budget(self):
         assert _chunk_columns(2) == _CHUNK
-        assert _chunk_columns(1024) == 4096
-        assert 16 * 1024 * _chunk_columns(1024) == _CHUNK_BYTES == 64 * 2**20
-        assert _chunk_columns(2**MAX_QUBITS) == 256
+        assert _chunk_columns(1024) == 512
+        assert 16 * 1024 * _chunk_columns(1024) == _CHUNK_BYTES == 8 * 2**20
+        assert _chunk_columns(2**MAX_QUBITS) == 32
         for n in range(1, MAX_QUBITS + 1):
             assert 16 * 2**n * _chunk_columns(2**n) <= _CHUNK_BYTES
 
@@ -538,6 +539,52 @@ class TestExactSeriesKernel:
         assert estimators._chunk_columns(spec.dim) == 7
         got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 50)  # 8 blocks, the last one short
         self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
+
+
+class TestBinBlockedSeries:
+    """_exact_series with one-hot register rows against the unblocked einsum, on a G that vanishes across bins."""
+
+    # several eigenvalues per bin, singleton bins 8 and 9, empty bins 1, 4 and 6, in no sorted order
+    BINS = np.array([3, 0, 5, 3, 7, 0, 3, 2, 5, 3, 8, 0, 7, 2, 3, 9])
+    AMPS = np.eye(10, dtype=complex)[BINS]
+
+    def inputs(self):
+        rng = np.random.default_rng(11)
+        dim = self.BINS.size
+        spec = Spectrum(np.sort(rng.uniform(1.0, 2.0, size=dim)), np.eye(dim), tuple((p,) for p in range(dim)))
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        w = rng.uniform(0.5, 2.0, size=self.BINS.max() + 1)
+        g_eig = (x + x.conj().T) * (self.BINS[:, None] == self.BINS[None, :]) * w[self.BINS]
+        coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return spec, g_eig, coeffs / np.linalg.norm(coeffs)
+
+    def test_matches_unblocked_einsum(self):
+        spec, g_eig, coeffs = self.inputs()
+        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 300, self.AMPS)
+        TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
+
+    def test_matches_across_time_blocks(self, monkeypatch):
+        spec, g_eig, coeffs = self.inputs()
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
+        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 50, self.AMPS)
+        TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
+
+    @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_register_rows_of_either_mode(self, mode):
+        # exact binning: one-hot rows at register_indices, several bins; circuit: dense rows, one bin
+        spec, g_eig, coeffs = TestExactSeriesKernel().kernel_inputs(6, mode)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        amps = register_amplitudes(spec, qpe)
+        one_hot = np.count_nonzero(amps, axis=1) == 1
+        if mode == "exact-binning":
+            assert one_hot.all()
+            np.testing.assert_array_equal(np.abs(amps).argmax(axis=1), register_indices(spec, qpe))
+            assert len(set(register_indices(spec, qpe))) > 1
+        else:
+            assert not one_hot.any()
+        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 300, amps)
+        TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
 
 class TestSwapTest:
