@@ -53,6 +53,8 @@ DEFAULT_BATCHES = 10
 _CHUNK = 1 << 15
 # byte budget of one block of evolved eigen-coefficients (N complex rows)
 _CHUNK_BYTES = 8 << 20
+# byte budget of one block of shot outcome amplitudes (N * 2^m complex per step)
+_SHOT_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -204,10 +206,11 @@ def _chunk_columns(dim: int) -> int:
     return min(_CHUNK, _CHUNK_BYTES // (16 * dim))
 
 
-def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int):
+def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, chunk: int = 0):
     """Eigen-coefficients c_p(t_j) = c_p exp(-i E_p t_j) at t_j = j*dt for
-    j = 1..num_steps, yielded as column blocks of _chunk_columns steps."""
-    chunk = _chunk_columns(eigenvalues.size)
+    j = 1..num_steps, yielded as column blocks of chunk (default
+    _chunk_columns) steps."""
+    chunk = chunk or _chunk_columns(eigenvalues.size)
     for start in range(0, num_steps, chunk):
         t = dt * np.arange(start + 1, min(start + chunk, num_steps) + 1)
         block = np.outer(-1.0j * eigenvalues, t)
@@ -308,13 +311,13 @@ def swap_test_estimate(a: StateVector, b: StateVector, shots: int, seed: int) ->
         raise ConfigError(f"shots must be >= 1, got {shots}")
     if a.n_qubits != b.n_qubits:
         raise DomainError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return _swap_test_draw(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2, shots, seed)
+    return float(_swap_test_draw(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2, shots, substream(seed, "swap-test")))
 
 
-def _swap_test_draw(overlap_sq: float, shots: int, seed: int) -> float:
-    p_zero = 0.5 * (1.0 + overlap_sq)
-    zeros = substream(seed, "swap-test").binomial(shots, min(p_zero, 1.0))
-    return float(np.clip(2.0 * zeros / shots - 1.0, 0.0, 1.0))
+def _swap_test_draw(overlap_sq, shots: int, rng: np.random.Generator):
+    """Clamped swap-test estimates of each overlap_sq, drawn in order with one binomial call."""
+    zeros = rng.binomial(shots, np.minimum(0.5 * (1.0 + overlap_sq), 1.0))
+    return np.clip(2.0 * zeros / shots - 1.0, 0.0, 1.0)
 
 
 def _shot_outcomes(spec, delta, table, amps):
@@ -331,8 +334,13 @@ def _shot_outcomes(spec, delta, table, amps):
     overlap = u.conj().T @ spec.eigenvectors
 
     def probabilities(c):
-        probs = np.abs(overlap @ (c[:, None] * amps)).ravel() ** 2
-        return probs / probs.sum()
+        """One distribution per column of c (N, or N x B steps), by one product over the block."""
+        cols = c.reshape(spec.dim, -1)
+        amp = overlap @ (cols[:, :, None] * amps[:, None, :]).reshape(spec.dim, -1)
+        probs = np.abs(amp.reshape(spec.dim, cols.shape[1], -1).swapaxes(0, 1)) ** 2
+        probs = probs.reshape(cols.shape[1], -1)  # row j: step j's outcomes (i, k) at i * 2^m + k
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs.reshape(c.shape[1:] + (-1,))
 
     return np.outer(d, table).ravel(), probabilities
 
@@ -352,7 +360,7 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff_eig: np.ndarray, draw, com
         r = _resolve_initial_state(eth, int(np.log2(spec.dim)), rep)
         if r.dim != spec.dim:
             raise DomainError(f"initial state dimension {r.dim} does not match {spec.dim}")
-        samples, residual = draw(rep, spec.eigenvectors.conj().T @ r.amplitudes)
+        samples, residual = draw(rep, spec.coefficients(r.amplitudes))
         all_samples.append(samples)
         residuals.append(residual)
         diag_targets.append(eigenbasis_ensemble(spec, eff_eig, r))
@@ -398,12 +406,14 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     def draw(rep, coeffs):
         if eth.sampling == "exact":
             return _exact_series(spec, g_eig, coeffs, eth.dt, eth.num_steps, amps), 0.0
-        columns = (c for block in _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps) for c in block.T)
-        totals = [
-            substream(eth.seed, "shots", rep, j).multinomial(eth.shots, probabilities(c)) @ values
-            for j, c in enumerate(columns)
-        ]
-        return np.array(totals) / eth.shots, 0.0
+        # one generator per repetition, drawn in step order: the series is the
+        # same for any block width and a prefix of any longer run's
+        rng = substream(eth.seed, "shots", rep)
+        width = max(1, _SHOT_BYTES // (16 * amps.size))
+        blocks = _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps, width)
+        # a row sum, not counts @ values, whose rounding depends on the block height
+        totals = [(rng.multinomial(eth.shots, probabilities(c)) * values).sum(axis=1) for c in blocks]
+        return np.concatenate(totals) / eth.shots, 0.0
 
     return _time_average(spec, eth, eff_eig, draw, lambda: spectral_commutator_norm(spec, delta))
 
@@ -423,7 +433,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
     w = WeightSpec(kind="inverse", policy=policy)
     amps = register_amplitudes(spec, qpe)
     prob = np.abs(amps) ** 2
-    b = spec.eigenvectors.conj().T @ phi.amplitudes
+    b = spec.coefficients(phi.amplitudes)
     # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag
     eff_eig = _effective(spec, np.outer(b, b.conj()), w, qpe, amps)
 
@@ -437,12 +447,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
         samples = np.concatenate([np.abs(u @ c) ** 2 for c in _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps)])
         kept = float(np.sum(np.abs(gamma * coeffs) ** 2))  # (norm_factor * slice norm)^2
         if eth.sampling == "shots":
-            samples = kept * np.array(
-                [
-                    _swap_test_draw(sq / kept, eth.shots, derive_seed(eth.seed, "shots", rep, j))
-                    for j, sq in enumerate(samples)
-                ]
-            )
+            samples = kept * _swap_test_draw(samples / kept, eth.shots, substream(eth.seed, "shots", rep))
         return samples, max(0.0, 1.0 - kept / norm_factor**2)
 
     return _time_average(spec, eth, eff_eig, draw, lambda: spectral_commutator_norm(spec, projector_from_state(phi)))

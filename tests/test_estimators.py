@@ -587,6 +587,59 @@ class TestBinBlockedSeries:
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
 
+@pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+class TestBlockBatchedShots:
+    """Shot series drawn block by block from one generator per repetition."""
+
+    @staticmethod
+    def run(form, mode, num_steps=40, sampling="shots", seed=13):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=num_steps, sampling=sampling, shots=48, seed=seed, initial_state=init, repetitions=2)
+        if form == "operator":
+            return run_operator_form(a, projector_from_state(phi), WeightSpec(kind="inverse"), eth, qpe)
+        return run_vector_form(a, phi, eth, qpe)
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    @pytest.mark.parametrize("form", ["operator", "vector"])
+    def test_series_is_bit_identical_across_block_widths(self, monkeypatch, form, mode):
+        whole = self.run(form, mode)
+        # three steps per shot block and five per block of evolved coefficients
+        monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 8 * 8 * 3)
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * 5)
+        np.testing.assert_array_equal(self.run(form, mode).series, whole.series)
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    @pytest.mark.parametrize("form", ["operator", "vector"])
+    def test_short_run_is_a_prefix_of_a_longer_one(self, form, mode):
+        short = self.run(form, mode, num_steps=20).series.reshape(2, 20)
+        long = self.run(form, mode, num_steps=40).series.reshape(2, 40)
+        np.testing.assert_array_equal(short, long[:, :20])
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_block_probabilities_match_single_steps(self, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        spec = eigendecompose(a)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        amps = register_amplitudes(spec, qpe)
+        table = reached_weight_table(amps, qpe, WeightSpec(kind="inverse")).real
+        values, probabilities = _shot_outcomes(spec, projector_from_state(phi), table, amps)
+        coeffs = spec.eigenvectors.conj().T @ np.asarray(init.amplitudes)
+        block = next(estimators._evolved(spec.eigenvalues, coeffs, 0.37, 9))
+        probs = probabilities(block)
+        assert probs.shape == (9, values.size)
+        for j in range(9):
+            np.testing.assert_allclose(probs[j], probabilities(block[:, j]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    def test_circuit_operator_shots_agree_with_the_exact_series(self):
+        exact = self.run("operator", "circuit", num_steps=400, sampling="exact")
+        shots = self.run("operator", "circuit", num_steps=400)
+        # draws are independent across steps, so the per-step differences give the SE
+        diff = shots.series - exact.series
+        assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(diff.size)
+
+
 class TestSwapTest:
     def test_identical_states(self):
         s = uniform_superposition(1)
@@ -605,6 +658,15 @@ class TestSwapTest:
         b = uniform_superposition(1)
         vals = np.array([swap_test_estimate(a, b, shots=32, seed=s) for s in range(500)])
         assert vals.mean() == pytest.approx(0.5, abs=3 * vals.std(ddof=1) / math.sqrt(len(vals)))
+
+    def test_values_are_pinned(self):
+        # one draw from substream(seed, "swap-test"), clamped; these values
+        # come from the per-call implementation the array form replaced
+        a = basis_state(2, 0)
+        b = StateVector(2, np.array([0.6, 0.48j, 0.64, 0.0]))  # |<a|b>|^2 = 0.36
+        got = [swap_test_estimate(a, b, shots=100, seed=s) for s in (1, 2, 3, 4, 5)]
+        assert got == [0.21999999999999997, 0.32000000000000006, 0.30000000000000004, 0.3400000000000001, 0.43999999999999995]
+        assert [swap_test_estimate(a, b, shots=7, seed=s) for s in (1, 2, 3)] == [0.4285714285714286, 0.7142857142857142, 0.0]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
