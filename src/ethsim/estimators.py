@@ -36,7 +36,7 @@ from .phase_estimation import (
     register_weights,
 )
 from .rng import derive_seed, substream
-from .spectral import Spectrum, eigenbasis_ensemble, in_eigenbasis, spectral_commutator_norm, spectrum_of
+from .spectral import Spectrum, eigenbasis_ensemble, factored_commutator_norm, in_eigenbasis, spectral_commutator_norm, spectrum_of
 from .weights import WeightSpec
 
 INITIAL_STATE_KINDS = ("uniform", "haar", "phase-product", "explicit")
@@ -53,7 +53,7 @@ DEFAULT_BATCHES = 10
 _CHUNK = 1 << 15
 # byte budget of one block of evolved eigen-coefficients (N complex rows)
 _CHUNK_BYTES = 8 << 20
-# byte budget of one block of shot outcome amplitudes (N * 2^m complex per step)
+# byte budget of a shot block's largest transient (r * max(N, 2^m) complex per step)
 _SHOT_BYTES = 1 << 20
 
 
@@ -324,25 +324,40 @@ def _shot_outcomes(spec, delta, table, amps):
     """Outcome values of the weighted observable, and the function mapping
     evolved eigen-coefficients c to the outcome probabilities.
 
-    Measuring E^dag (delta x W) E on |psi,0> gives the outcomes of delta x W
-    on E|psi,0> = sum_p c_p |p> a_p: the value d_i w_k with probability
-    |sum_p <d_i|p> c_p a_p[k]|^2, where (d_i, |d_i>) are delta's eigenpairs.
+    A Hermitian Delta = L R^dag = R L^dag vanishes off range(R). With Q an
+    orthonormal basis of it (I without factors, where Delta is (entries, I)),
+    Delta = Q M Q^dag for the small M = (Q^dag L)(Q^dag R)^dag, whose r
+    eigenpairs (d_i, w_i) give Delta's eigenpairs (d_i, u_i = Q w_i) on that
+    span; the rest of the space has eigenvalue 0. Measuring E^dag (Delta x W) E
+    on |psi,0> gives the outcomes of Delta x W on E|psi,0> = sum_p c_p |p> a_p:
+    the value d_i w_k with probability |sum_p <u_i|p> c_p a_p[k]|^2, and last
+    the value 0 with the remaining probability, clipped at 0.
     """
-    if np.abs(delta.entries - delta.entries.conj().T).max() > 1e-9:
+    if not delta.hermitian and np.abs(delta.entries - delta.entries.conj().T).max() > 1e-9:
         raise ConfigError("shot sampling requires a Hermitian observable")
-    d, u = np.linalg.eigh(delta.entries)
+    left, right = delta.factors or (delta.entries, None)
+    if right is None:
+        d, u = np.linalg.eigh(left)
+    else:
+        q = np.linalg.qr(right)[0]  # may over-span a rank-deficient R, which only adds d_i = 0
+        qh = q.conj().T
+        d, w = np.linalg.eigh((qh @ left) @ (qh @ right).conj().T)
+        u = q @ w
     overlap = u.conj().T @ spec.eigenvectors
 
     def probabilities(c):
-        """One distribution per column of c (N, or N x B steps), by one product over the block."""
+        """One distribution per column of c (N, or N x B steps). Row j holds
+        step j's outcomes (i, k) at i * 2^m + k, then the zero outcome."""
         cols = c.reshape(spec.dim, -1)
-        amp = overlap @ (cols[:, :, None] * amps[:, None, :]).reshape(spec.dim, -1)
-        probs = np.abs(amp.reshape(spec.dim, cols.shape[1], -1).swapaxes(0, 1)) ** 2
-        probs = probs.reshape(cols.shape[1], -1)  # row j: step j's outcomes (i, k) at i * 2^m + k
-        probs /= probs.sum(axis=1, keepdims=True)
+        # B x r x N times N x 2^m, one product per step: a step's amplitudes
+        # do not depend on how many steps share its block
+        amp = (cols.T[:, None, :] * overlap) @ amps
+        probs = np.empty((cols.shape[1], amp[0].size + 1))
+        np.square(np.abs(amp.reshape(cols.shape[1], -1)), out=probs[:, :-1])
+        probs[:, -1] = np.maximum(1.0 - probs[:, :-1].sum(axis=1), 0.0)
         return probs.reshape(c.shape[1:] + (-1,))
 
-    return np.outer(d, table).ravel(), probabilities
+    return np.append(np.outer(d, table).ravel(), 0.0), probabilities
 
 
 def _time_average(spec: Spectrum, eth: EthConfig, eff_eig: np.ndarray, draw, commutator) -> EthEstimate:
@@ -409,7 +424,10 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
         # one generator per repetition, drawn in step order: the series is the
         # same for any block width and a prefix of any longer run's
         rng = substream(eth.seed, "shots", rep)
-        width = max(1, _SHOT_BYTES // (16 * amps.size))
+        # values holds r * 2^m outcomes and the zero one; a step's largest
+        # transient is its r x N weighted overlaps or its r x 2^m amplitudes
+        rank = max(1, (values.size - 1) // table.size)
+        width = max(1, _SHOT_BYTES // (16 * rank * max(spec.dim, table.size)))
         blocks = _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps, width)
         # a row sum, not counts @ values, whose rounding depends on the block height
         totals = [(rng.multinomial(eth.shots, probabilities(c)) * values).sum(axis=1) for c in blocks]
@@ -450,7 +468,8 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
             samples = kept * _swap_test_draw(samples / kept, eth.shots, substream(eth.seed, "shots", rep))
         return samples, max(0.0, 1.0 - kept / norm_factor**2)
 
-    return _time_average(spec, eth, eff_eig, draw, lambda: spectral_commutator_norm(spec, projector_from_state(phi)))
+    factor = phi.amplitudes[:, None]
+    return _time_average(spec, eth, eff_eig, draw, lambda: factored_commutator_norm(spec, factor, factor))
 
 
 @dataclass(frozen=True)

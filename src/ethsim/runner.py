@@ -23,7 +23,6 @@ from .core import (
 )
 from .errors import ConfigError, DomainError
 from .estimators import (
-    inverse_expectation_result,
     logdet_gradient_result,
     normalize,
     run_operator_form,
@@ -108,8 +107,15 @@ def _execute_single(config: ExperimentConfig) -> ExecutionResult:
         result = normalize(raw, 1.0)
         oracle_value = raw.thermalized.diagonal_target
     elif config.target == "inverse-expectation":
-        result = inverse_expectation_result(spec, phi, config.eth, config.qpe, form=config.form)
-        oracle_value = trace_weighted(spec, projector_from_state(phi), WeightSpec(kind="inverse", policy="reject"))
+        # the run's one |phi><phi|, shared by the operator-form estimator and the oracle
+        delta = projector_from_state(phi)
+        inverse = WeightSpec(kind="inverse", policy="reject")
+        if config.form == "operator":
+            raw = run_operator_form(spec, delta, inverse, config.eth, config.qpe)
+        else:
+            raw = run_vector_form(spec, phi, config.eth, config.qpe)
+        result = normalize(raw, float(spec.dim))
+        oracle_value = trace_weighted(spec, delta, inverse)
     elif config.target == "logdet-gradient":
         delta = build_delta(config, n_qubits)
         result = logdet_gradient_result(spec, delta, config.eth, config.qpe)

@@ -121,7 +121,12 @@ def spectral_commutator_norm(spec: Spectrum, delta: DenseOperator) -> float:
     diagonal has the same commutator, since that diagonal commutes with A."""
     if not delta.hermitian and np.abs(delta.entries - delta.entries.conj().T).max() > HERMITIAN_TOL:
         raise DomainError("the commutator norm from the spectrum needs a Hermitian observable")
-    left, right = delta.factors or (delta.entries, None)
+    return factored_commutator_norm(spec, *(delta.factors or (delta.entries, None)))
+
+
+def factored_commutator_norm(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray]) -> float:
+    """spectral_commutator_norm from the factors of a Hermitian Delta = L R^dag
+    alone (R = I when None), so no N x N Delta needs to be built for it."""
     x = spec.eigenvectors @ (spec.eigenvalues[:, None] * spec.coefficients(left))
     x = x if right is None else x @ right.conj().T
     return float(np.abs(x - x.conj().T).max())

@@ -9,6 +9,7 @@ import pytest
 
 from ethsim import (
     ConfigError,
+    DenseOperator,
     DomainError,
     EthConfig,
     InitialState,
@@ -637,6 +638,146 @@ class TestBlockBatchedShots:
         shots = self.run("operator", "circuit", num_steps=400)
         # draws are independent across steps, so the per-step differences give the SE
         diff = shots.series - exact.series
+        assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(diff.size)
+
+
+def _full_eigh_distribution(spec, delta, table, amps, c):
+    """The reference outcome distribution of one step: all N eigenpairs
+    (d_j, u_j) of Delta from a full eigh, outcome d_j w_k with probability
+    |sum_p <u_j|p> c_p a_p[k]|^2, N * 2^m outcomes in all."""
+    d, u = np.linalg.eigh(delta.entries)
+    amp = (u.conj().T @ spec.eigenvectors) @ (c[:, None] * amps)
+    return np.outer(d, table).ravel(), (np.abs(amp) ** 2).ravel()
+
+
+def _merged_by_value(*distributions, tol=1e-9):
+    """Each (values, probabilities) pair summed over one common set of
+    clusters of values, split where sorted values differ by more than tol."""
+    every = np.sort(np.concatenate([values for values, _ in distributions]))
+    gaps = np.flatnonzero(np.diff(every) > tol)
+    edges = 0.5 * (every[gaps] + every[gaps + 1])
+    return [np.bincount(np.searchsorted(edges, v), weights=p, minlength=edges.size + 1) for v, p in distributions]
+
+
+# Hermitian masks on n = 3: five nonzero columns; and columns 1 and 2 equal
+# (both e_0), so the nonzero columns are linearly dependent
+MASK_RANK5 = [(0, 0, 0.7), (1, 2, 0.3 + 0.2j), (2, 1, 0.3 - 0.2j), (5, 6, -0.4), (6, 5, -0.4)]
+MASK_DEPENDENT = [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 1.0)]
+
+
+def _span_observables(phi):
+    """Observables of every shape the shot path meets, with their span's rank r."""
+    amp = phi.amplitudes[:, None]
+    # |phi><phi| through factors whose columns repeat: R is rank-deficient
+    repeated = DenseOperator(phi.dim, projector_from_state(phi).entries, hermitian=True, factors=(np.hstack([amp, amp]), 0.5 * np.hstack([amp, amp])))
+    return {
+        "projector": (projector_from_state(phi), 1),
+        "mask": (derivative_mask(3, MASK_RANK5), 5),
+        "dependent-mask": (derivative_mask(3, MASK_DEPENDENT), 3),
+        "repeated-factors": (repeated, 2),
+        "identity": (identity_operator(3), 8),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+class TestSpanShotOutcomes:
+    """Shot outcomes on the span of Delta's factors: r * 2^m + 1 of them."""
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    @pytest.mark.parametrize("name", ["projector", "mask", "dependent-mask", "repeated-factors", "identity"])
+    def test_distribution_equals_the_full_eigh_reference(self, name, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        spec = eigendecompose(a)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        amps = register_amplitudes(spec, qpe)
+        table = reached_weight_table(amps, qpe, WeightSpec(kind="inverse")).real
+        delta, rank = _span_observables(phi)[name]
+        values, probabilities = _shot_outcomes(spec, delta, table, amps)
+        assert values.size == rank * qpe.register_size + 1
+        assert values[-1] == 0.0
+        coeffs = spec.coefficients(np.asarray(init.amplitudes))
+        block = next(estimators._evolved(spec.eigenvalues, coeffs, 0.37, 9))
+        probs = probabilities(block)
+        assert np.all(probs >= 0.0)
+        for j in range(block.shape[1]):
+            got, want = _merged_by_value((values, probs[j]), _full_eigh_distribution(spec, delta, table, amps, block[:, j]))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_factored_observables_take_no_full_eigendecomposition(self, monkeypatch, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        spec = eigendecompose(a)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=20, sampling="shots", shots=16, seed=5, initial_state=init)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        for name in ("projector", "mask", "dependent-mask", "repeated-factors"):
+            run_operator_form(spec, _span_observables(phi)[name][0], WeightSpec(kind="inverse"), eth, qpe)
+        assert shapes and all(shape[0] < spec.dim for shape in shapes)
+
+    def test_an_unflagged_observable_is_scanned_for_hermiticity(self):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        spec = eigendecompose(a)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0)
+        amps = register_amplitudes(spec, qpe)
+        table = reached_weight_table(amps, qpe, WeightSpec(kind="inverse")).real
+        herm = projector_from_state(phi).entries
+        values, _ = _shot_outcomes(spec, DenseOperator(spec.dim, herm), table, amps)
+        assert values.size == spec.dim * qpe.register_size + 1
+        with pytest.raises(ConfigError, match="shot sampling requires a Hermitian observable"):
+            _shot_outcomes(spec, DenseOperator(spec.dim, herm + 0.1 * np.triu(np.ones_like(herm), 1)), table, amps)
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_block_width_follows_the_largest_transient(self, monkeypatch, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=40, sampling="shots", shots=16, seed=5, initial_state=init)
+        widths = []
+        evolved = estimators._evolved
+
+        def recorded(eigenvalues, coeffs, dt, num_steps, chunk=0):
+            widths.append(chunk)
+            return evolved(eigenvalues, coeffs, dt, num_steps, chunk)
+
+        monkeypatch.setattr(estimators, "_evolved", recorded)
+        monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 5 * 8 * 3)
+        # r x max(N, 2^m) complex per step: three steps of the rank-5 mask, fifteen of |phi><phi|
+        for name, expected in (("mask", 3), ("projector", 15)):
+            widths.clear()
+            run_operator_form(a, _span_observables(phi)[name][0], WeightSpec(kind="inverse"), eth, qpe)
+            assert widths == [expected]
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    @pytest.mark.parametrize("name", ["projector", "mask"])
+    def test_series_is_bit_identical_for_one_and_three_step_blocks(self, monkeypatch, name, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=40, sampling="shots", shots=48, seed=13, initial_state=init)
+        delta, rank = _span_observables(phi)[name]
+        whole = run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series
+        for steps in (1, 3):
+            monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * rank * 8 * steps)
+            np.testing.assert_array_equal(run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series, whole)
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_logdet_mask_shots_agree_with_the_exact_series(self, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        mask = derivative_mask(3, MASK_RANK5)
+
+        def run(sampling):
+            eth = EthConfig(dt=0.37, num_steps=400, sampling=sampling, shots=48, seed=13, initial_state=init, repetitions=2)
+            return logdet_gradient_result(a, mask, eth, qpe).raw
+
+        # draws are independent across steps, so the per-step differences give the SE
+        diff = run("shots").series - run("exact").series
+        assert diff.std() > 0.0
         assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / math.sqrt(diff.size)
 
 

@@ -125,6 +125,26 @@ def test_one_eigendecomposition_per_run(target, form, mode, tmp_path, eigh_calls
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("form", ["operator", "vector"])
+def test_one_projector_per_inverse_expectation_run(form, mode, tmp_path, monkeypatch):
+    built = []
+    original = ethsim.core.projector_from_state
+
+    def counted(phi):
+        built.append(phi)
+        return original(phi)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ethsim" or name.startswith("ethsim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    summary = execute_experiment(_config(tmp_path, "inverse-expectation", form, mode)).summary
+    assert len(built) == 1
+    assert summary["oracle_value"] == pytest.approx(np.vdot(PHI, np.linalg.solve(MATRIX, PHI)).real, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_oracles_match_linear_solves(mode, tmp_path):
     inverse = execute_experiment(_config(tmp_path, "inverse-expectation", "operator", mode)).summary
     assert inverse["oracle_value"] == pytest.approx(np.vdot(PHI, np.linalg.solve(MATRIX, PHI)).real, rel=1e-12, abs=1e-12)
