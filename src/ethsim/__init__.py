@@ -17,7 +17,6 @@ from .core import (
     derivative_mask,
     from_pauli_terms,
     identity_operator,
-    inner_product,
     operator_from_matrix,
     projector_from_state,
     qft_matrix,
@@ -122,7 +121,6 @@ __all__ = [
     "from_dict",
     "from_pauli_terms",
     "identity_operator",
-    "inner_product",
     "inverse_expectation_result",
     "load_config",
     "logdet_gradient_oracle",

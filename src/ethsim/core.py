@@ -17,7 +17,6 @@ MAX_QUBITS = 14
 
 NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -73,14 +72,12 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Dense square operator with validated structure flags and, when its
+    """Dense square operator with a validated hermitian flag and, when its
     builder knows them, factors (L, R): two N x r arrays with entries = L R^dag."""
 
     dim: int
     entries: np.ndarray
     hermitian: bool = False
-    unitary: bool = False
-    diagonal: bool = False
     factors: tuple | None = None
 
     def __post_init__(self):
@@ -91,14 +88,6 @@ class DenseOperator:
             dev = float(np.abs(mat - mat.conj().T).max())
             if dev > HERMITIAN_TOL:
                 raise DomainError(f"hermitian flag set but max |M - M^dag| = {dev}")
-        if self.unitary:
-            dev = float(np.abs(mat.conj().T @ mat - np.eye(self.dim)).max())
-            if dev > UNITARY_TOL:
-                raise DomainError(f"unitary flag set but max |M^dag M - I| = {dev}")
-        if self.diagonal:
-            off = mat - np.diag(np.diag(mat))
-            if np.abs(off).max() > 0:
-                raise DomainError("diagonal flag set but off-diagonal entries are nonzero")
         if self.factors is not None:
             left, right = (_frozen_array(f) for f in self.factors)
             if left.shape != right.shape or left.shape[:-1] != (self.dim,) or np.abs(left @ right.conj().T - mat).max() > HERMITIAN_TOL:
@@ -128,18 +117,13 @@ class PauliTerm:
         return mat
 
 
-def operator_from_matrix(entries, *, atol: float = HERMITIAN_TOL) -> DenseOperator:
-    """Wrap a raw matrix, detecting structure flags numerically."""
+def operator_from_matrix(entries) -> DenseOperator:
+    """Wrap a raw matrix, flagging it hermitian when max |M - M^dag| <= HERMITIAN_TOL."""
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {mat.shape}")
-    dim = mat.shape[0]
-    hermitian = bool(np.abs(mat - mat.conj().T).max() <= atol)
-    # unit column norms are necessary for unitarity and cost O(N^2); only then form the N^3 product
-    unit_columns = np.abs(np.linalg.norm(mat, axis=0) - 1.0).max() <= UNITARY_TOL
-    unitary = bool(unit_columns and np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= UNITARY_TOL)
-    diagonal = bool(np.abs(mat - np.diag(np.diag(mat))).max() == 0)
-    return DenseOperator(dim, mat, hermitian=hermitian, unitary=unitary, diagonal=diagonal)
+    hermitian = bool(np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL)
+    return DenseOperator(mat.shape[0], mat, hermitian=hermitian)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -185,18 +169,11 @@ def random_state(n_qubits: int, seed: int, ensemble: str = "haar") -> StateVecto
     return StateVector(n_qubits, vec)
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with conjugation on the first argument."""
-    if a.n_qubits != b.n_qubits:
-        raise DomainError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def from_pauli_terms(n_qubits: int, terms) -> DenseOperator:
     """Dense Hermitian operator for a weighted Pauli-string sum.
 
     Every term's axes string must have length ``n_qubits``. The result is
-    flagged hermitian, and diagonal when no term contains X or Y.
+    flagged hermitian.
     """
     _check_qubit_count(n_qubits)
     terms = list(terms)
@@ -204,15 +181,13 @@ def from_pauli_terms(n_qubits: int, terms) -> DenseOperator:
         raise DomainError("pauli term list is empty")
     dim = 2**n_qubits
     total = np.zeros((dim, dim), dtype=complex)
-    diag = True
     for term in terms:
         if len(term.axes) != n_qubits:
             raise DomainError(
                 f"term axes {term.axes!r} has length {len(term.axes)}, expected {n_qubits}"
             )
         total += term.coefficient * term.matrix()
-        diag = diag and all(ax in "IZ" for ax in term.axes)
-    return DenseOperator(dim, total, hermitian=True, diagonal=diag)
+    return DenseOperator(dim, total, hermitian=True)
 
 
 def projector_from_state(phi: StateVector) -> DenseOperator:
@@ -224,30 +199,24 @@ def projector_from_state(phi: StateVector) -> DenseOperator:
 
 
 def qft_matrix(n_qubits: int) -> DenseOperator:
-    """Discrete Fourier transform on 2**n_qubits amplitudes, unitary flagged."""
+    """Discrete Fourier transform on 2**n_qubits amplitudes, omega^(jk) / sqrt(N)."""
     _check_qubit_count(n_qubits)
     dim = 2**n_qubits
     j = np.arange(dim)
     omega = np.exp(2.0j * np.pi / dim)
     mat = omega ** np.outer(j, j) / np.sqrt(dim)
-    return DenseOperator(dim, mat, unitary=True)
+    return DenseOperator(dim, mat)
 
 
 def all_ones_delta(n_qubits: int, scale: float = 1.0) -> DenseOperator:
-    """scale * F^dag diag(1,0,...,0) F, built by explicit matrix products.
-
-    Every entry of the result equals scale / 2**n_qubits. At one qubit,
-    scale = sqrt(2) reproduces (I + sigma_x)/sqrt(2).
-    """
+    """scale * |u><u| for the uniform state u: every entry equals scale / 2**n_qubits,
+    with the rank-one factors (scale * u, u). At one qubit, scale = sqrt(2)
+    reproduces (I + sigma_x)/sqrt(2)."""
     if not np.isfinite(scale):
         raise DomainError(f"scale must be finite, got {scale!r}")
-    f = qft_matrix(n_qubits).entries
-    dim = f.shape[0]
-    d0 = np.zeros((dim, dim), dtype=complex)
-    d0[0, 0] = 1.0
-    mat = scale * (f.conj().T @ d0 @ f)
-    mat = 0.5 * (mat + mat.conj().T)
-    return DenseOperator(dim, mat, hermitian=True)
+    u = uniform_superposition(n_qubits).amplitudes[:, None]
+    dim = u.shape[0]
+    return DenseOperator(dim, np.full((dim, dim), scale / dim, dtype=complex), hermitian=True, factors=(scale * u, u))
 
 
 def commutator_norm(a: DenseOperator, d: DenseOperator) -> float:
@@ -282,4 +251,4 @@ def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
 def identity_operator(n_qubits: int) -> DenseOperator:
     _check_qubit_count(n_qubits)
     dim = 2**n_qubits
-    return DenseOperator(dim, np.eye(dim, dtype=complex), hermitian=True, unitary=True, diagonal=True)
+    return DenseOperator(dim, np.eye(dim, dtype=complex), hermitian=True)

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    HERMITIAN_TOL,
     DenseOperator,
     StateVector,
     projector_from_state,
@@ -191,13 +192,13 @@ def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVect
 
 
 def _effective(spec: Spectrum, delta_eig: np.ndarray, w: WeightSpec, qpe: QpeConfig, amps: np.ndarray) -> np.ndarray:
-    """V^dag Delta_eff V: delta_eig with its diagonal weighted at the decoded bin
-    energies (exact binning: the one-hot rows of amps) or the true eigenvalues."""
+    """V^dag Delta_eff V: the rows of delta_eig weighted at the decoded bin
+    energies (exact binning: the one-hot rows of amps) or the true eigenvalues.
+    The diagonal ensemble reads only the diagonal and the blocks of degeneracy
+    groups, and within a group every row carries the same weight."""
     binned = qpe.mode == "exact-binning"
     energies = energy_table(qpe)[np.abs(amps).argmax(axis=1)] if binned else spec.eigenvalues
-    eff = delta_eig.copy()
-    np.fill_diagonal(eff, np.diag(delta_eig) * w.evaluate(energies, spec.spectral_range))
-    return eff
+    return delta_eig * w.evaluate(energies, spec.spectral_range)[:, None]
 
 
 def _chunk_columns(dim: int) -> int:
@@ -333,7 +334,7 @@ def _shot_outcomes(spec, delta, table, amps):
     the value d_i w_k with probability |sum_p <u_i|p> c_p a_p[k]|^2, and last
     the value 0 with the remaining probability, clipped at 0.
     """
-    if not delta.hermitian and np.abs(delta.entries - delta.entries.conj().T).max() > 1e-9:
+    if not delta.hermitian and np.abs(delta.entries - delta.entries.conj().T).max() > HERMITIAN_TOL:
         raise ConfigError("shot sampling requires a Hermitian observable")
     left, right = delta.factors or (delta.entries, None)
     if right is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseOperator, MAX_QUBITS, StateVector
+from .core import DenseOperator, MAX_QUBITS, StateVector, qft_matrix
 from .errors import ConfigError, DomainError, SingularityError
 from .spectral import Spectrum, in_eigenbasis
 from .weights import WeightSpec
@@ -119,13 +119,6 @@ def register_indices(spec: Spectrum, config: QpeConfig) -> np.ndarray:
     return indices
 
 
-def is_dyadic(spec: Spectrum, config: QpeConfig, tol: float = 1e-12) -> bool:
-    """True when every eigenvalue phase is an exact m-bit fraction."""
-    phi = (spec.eigenvalues - config.shift) * config.scale
-    scaled = phi * config.register_size
-    return bool(np.all(np.abs(scaled - np.round(scaled)) <= tol * config.register_size))
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedJointState:
     """Normalized joint system+register state with its norm bookkeeping.
@@ -136,11 +129,10 @@ class WeightedJointState:
 
     joint: StateVector
     norm_factor: float
-    provenance: tuple = ()
 
     @classmethod
     def wrap(cls, state: StateVector) -> "WeightedJointState":
-        return cls(joint=state, norm_factor=1.0, provenance=())
+        return cls(joint=state, norm_factor=1.0)
 
 
 def _split_dims(joint_dim: int, config: QpeConfig):
@@ -153,19 +145,11 @@ def _split_dims(joint_dim: int, config: QpeConfig):
 
 
 def _hadamard_matrix(m: int) -> np.ndarray:
-    dim = 2**m
-    j = np.arange(dim)
-    signs = (-1.0) ** np.array(
-        [[bin(a & b).count("1") for b in j] for a in j], dtype=float
-    )
-    return signs / np.sqrt(dim)
-
-
-def _dft_matrix(m: int) -> np.ndarray:
-    dim = 2**m
-    j = np.arange(dim)
-    omega = np.exp(2.0j * np.pi / dim)
-    return omega ** np.outer(j, j) / np.sqrt(dim)
+    """H^{x m}: entries (-1)^popcount(a & b) / sqrt(2^m), by the Sylvester recursion."""
+    signs = np.ones((1, 1))
+    for _ in range(m):
+        signs = np.kron(signs, [[1.0, 1.0], [1.0, -1.0]])
+    return signs / np.sqrt(2**m)
 
 
 def _transform_register_rows(rows: np.ndarray, spec: Spectrum, config: QpeConfig, inverse: bool):
@@ -187,7 +171,7 @@ def _transform_register_rows(rows: np.ndarray, spec: Spectrum, config: QpeConfig
     k = np.arange(m_dim)
     d = np.exp(2.0j * np.pi * np.outer(phi, k))
     h = _hadamard_matrix(config.m)
-    f = _dft_matrix(config.m)
+    f = qft_matrix(config.m).entries
     if inverse:
         return ((rows @ f.T) * d.conj()) @ h.T
     return ((rows @ h.T) * d) @ f.conj()
@@ -287,7 +271,7 @@ def apply_upsilon(joint: StateVector, config: QpeConfig, w: WeightSpec, power: s
     rows = joint.amplitudes.reshape(n_dim, m_dim)
     full, norm_factor = register_weights(np.sum(np.abs(rows) ** 2, axis=0), config, w, power)
     out = StateVector(joint.n_qubits, (rows * full[None, :] / norm_factor).reshape(-1))
-    return WeightedJointState(out, norm_factor, (f"upsilon:{w.kind}^{power}",))
+    return WeightedJointState(out, norm_factor)
 
 
 def qpe_disentangle(weighted: WeightedJointState, spec: Spectrum, config: QpeConfig) -> WeightedJointState:
@@ -300,7 +284,7 @@ def qpe_disentangle(weighted: WeightedJointState, spec: Spectrum, config: QpeCon
     """
     out = _apply_qpe(weighted.joint.amplitudes, spec, config, inverse=True)
     state = StateVector(weighted.joint.n_qubits, out)
-    return WeightedJointState(state, weighted.norm_factor, weighted.provenance + ("qpe-disentangle",))
+    return WeightedJointState(state, weighted.norm_factor)
 
 
 def register_residual(weighted: WeightedJointState, config: QpeConfig) -> float:
@@ -358,7 +342,7 @@ def entangle_matrix(spec: Spectrum, config: QpeConfig) -> np.ndarray:
         phi = (spec.eigenvalues - config.shift) * config.scale
         k = np.arange(m_dim)
         h = _hadamard_matrix(config.m)
-        f = _dft_matrix(config.m)
+        f = qft_matrix(config.m).entries
         regs = [f.conj().T @ np.diag(np.exp(2.0j * np.pi * phi[p] * k)) @ h for p in range(n_dim)]
     for p in range(n_dim):
         proj = np.outer(v[:, p], v[:, p].conj())

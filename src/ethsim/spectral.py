@@ -61,19 +61,18 @@ class Spectrum:
         return np.conjugate(out, out=out)
 
 
-def eigendecompose(a: DenseOperator, degeneracy_tol: Optional[float] = None) -> Spectrum:
+def eigendecompose(a: DenseOperator) -> Spectrum:
     """Exact Hermitian eigendecomposition with degeneracy grouping.
 
-    degeneracy_tol defaults to 1e-9 times the spectral range; consecutive
-    eigenvalues with gaps at or below it share a group. DenseOperator checks
-    the hermitian flag against its read-only entries when it is built, so the
-    flag is all this reads.
+    Consecutive eigenvalues whose gap is at most DEGENERACY_FRACTION times
+    the spectral range share a group. DenseOperator checks the hermitian flag
+    against its read-only entries when it is built, so the flag is all this
+    reads.
     """
     if not a.hermitian:
         raise DomainError("eigendecompose requires an operator flagged Hermitian")
     evals, evecs = np.linalg.eigh(a.entries)
-    if degeneracy_tol is None:
-        degeneracy_tol = DEGENERACY_FRACTION * float(evals[-1] - evals[0])
+    degeneracy_tol = DEGENERACY_FRACTION * float(evals[-1] - evals[0])
     groups = []
     current = [0]
     for p in range(1, len(evals)):

@@ -101,15 +101,9 @@ class WeightSpec:
                 return np.sqrt(base.astype(complex))
             return np.sqrt(base)
 
-        # log_of_e: log |E| with the sign handled by negative_count bookkeeping
+        # log_of_e: log |E|, the determinant's sign is not tracked here
         if self.policy == "reject":
             return np.log(np.abs(e))
         eta = window if window > 0 else np.finfo(float).tiny
         return np.log(np.maximum(np.abs(e), eta))
 
-
-def negative_count(energies) -> int:
-    """Number of negative eigenvalues, recorded alongside log weights so the
-    determinant sign stays recoverable from log |E| values."""
-    e = np.asarray(energies, dtype=float)
-    return int(np.count_nonzero(e < 0))

@@ -16,7 +16,6 @@ from ethsim import (
     derivative_mask,
     from_pauli_terms,
     identity_operator,
-    inner_product,
     operator_from_matrix,
     projector_from_state,
     qft_matrix,
@@ -47,11 +46,6 @@ class TestStateVector:
         assert basis_state(2, 3).amplitudes[3] == 1.0
         u = uniform_superposition(2)
         np.testing.assert_allclose(u.amplitudes, 0.5 * np.ones(4))
-
-    def test_inner_product_conjugates_left(self):
-        a = StateVector(1, np.array([1.0, 1.0j]) / math.sqrt(2))
-        b = basis_state(1, 1)
-        assert inner_product(a, b) == pytest.approx(-1.0j / math.sqrt(2))
 
 
 class TestRandomStates:
@@ -84,29 +78,12 @@ class TestOperators:
     def test_flag_validation(self):
         with pytest.raises(DomainError):
             DenseOperator(2, np.array([[0, 1], [0, 0]]), hermitian=True)
-        with pytest.raises(DomainError):
-            DenseOperator(2, np.array([[1, 0], [0, 2]]), unitary=True)
-        with pytest.raises(DomainError):
-            DenseOperator(2, SX, diagonal=True)
 
     def test_operator_from_matrix_detects_flags(self):
         op = operator_from_matrix(SZ)
-        assert op.hermitian and op.unitary and op.diagonal
+        assert op.hermitian
         op = operator_from_matrix(np.array([[0, 2], [0, 0]], dtype=complex))
         assert not op.hermitian
-
-    def test_unitary_flag(self):
-        rng = np.random.default_rng(8)
-        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-        assert operator_from_matrix(q).unitary
-        # Hermitian, not unitary: the column norms already rule it out
-        herm = operator_from_matrix(np.diag([1.0, 2.0]).astype(complex))
-        assert herm.hermitian and not herm.unitary
-        # unit-norm columns that are not orthogonal: only the product rules it out
-        cols = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-        np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0)
-        assert not operator_from_matrix(cols).unitary
-        assert not operator_from_matrix(q + 1e-6 * np.eye(8)).unitary
 
     def test_pauli_term_matrix(self):
         np.testing.assert_array_equal(PauliTerm(2.0, "X").matrix(), SX)
@@ -127,10 +104,6 @@ class TestOperators:
         )
         np.testing.assert_allclose(a.entries, expected, atol=1e-15)
         assert a.hermitian
-
-    def test_diagonal_flag_for_iz_terms(self):
-        a = from_pauli_terms(2, [PauliTerm(0.625, "II"), PauliTerm(0.25, "ZI")])
-        assert a.diagonal
 
     def test_identity_operator(self):
         np.testing.assert_array_equal(identity_operator(2).entries, np.eye(4))
@@ -156,7 +129,6 @@ class TestAllOnesDelta:
 class TestQft:
     def test_unitary(self):
         f = qft_matrix(2)
-        assert f.unitary
         np.testing.assert_allclose(f.entries @ f.entries.conj().T, np.eye(4), atol=1e-12)
 
     def test_first_column_uniform(self):

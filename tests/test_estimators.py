@@ -733,6 +733,18 @@ class TestSpanShotOutcomes:
         with pytest.raises(ConfigError, match="shot sampling requires a Hermitian observable"):
             _shot_outcomes(spec, DenseOperator(spec.dim, herm + 0.1 * np.triu(np.ones_like(herm), 1)), table, amps)
 
+    def test_a_slightly_non_hermitian_observable_fails_before_any_draw(self, monkeypatch):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0)
+        eth = EthConfig(dt=0.37, num_steps=20, sampling="shots", shots=16, seed=5, initial_state=init)
+        herm = projector_from_state(phi).entries
+        skewed = DenseOperator(phi.dim, herm + 1e-10 * np.triu(np.ones_like(herm), 1))
+        keys = []
+        monkeypatch.setattr(estimators, "substream", lambda *key: keys.append(key))
+        with pytest.raises(ConfigError, match="shot sampling requires a Hermitian observable"):
+            run_operator_form(a, skewed, WeightSpec(kind="inverse"), eth, qpe)
+        assert keys == []
+
     @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
     def test_block_width_follows_the_largest_transient(self, monkeypatch, mode):
         a, phi, init = _merged_problem(3, 3, seed=17)
@@ -850,6 +862,38 @@ class TestThermalizationDiagnostics:
             drifting, spec, all_ones_delta(1), uniform_superposition(1)
         )
         assert verdict.verdict == "NON-STATIONARY"
+
+
+# A = diag(5, 5, 1, 1): two doubly degenerate levels, at phases 5/8 and 1/8
+DEGENERATE_2Q = from_pauli_terms(2, [PauliTerm(3.0, "II"), PauliTerm(2.0, "ZI")])
+DEGENERATE_START = np.array([0.1, 0.7, 0.3, 0.2 + 0.6j]) / math.sqrt(0.99)
+
+
+@pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+@pytest.mark.parametrize("form", ["operator", "vector"])
+def test_degenerate_groups_keep_their_weight_in_the_diagonal_target(form, mode):
+    """The plateau is sum_G f(E_G) c_G^dag Delta_GG c_G, cross terms inside
+    each degenerate group G included; the diagonal target must be too."""
+    spec = eigendecompose(DEGENERATE_2Q)
+    qpe = QpeConfig(m=3, shift=0.0, scale=0.125, mode=mode)
+    eth = EthConfig(dt=0.37, num_steps=4000, initial_state=InitialState(kind="explicit", amplitudes=tuple(DEGENERATE_START)))
+    if form == "operator":
+        delta, w = all_ones_delta(2), WeightSpec(kind="identity_of_e")
+        out = run_operator_form(spec, delta, w, eth, qpe)
+    else:
+        phi = StateVector(2, np.array([0.6, 0.48, 0.64, 0.0]))
+        delta, w = projector_from_state(phi), WeightSpec(kind="inverse")
+        out = run_vector_form(spec, phi, eth, qpe)
+    v = spec.eigenvectors
+    dense = v.conj().T @ delta.entries @ v
+    c = v.conj().T @ DEGENERATE_START
+    f = w.evaluate(spec.eigenvalues, spec.spectral_range)
+    assert [len(g) for g in spec.degeneracy_groups] == [2, 2]
+    want = sum(f[g[0]] * (c[list(g)].conj() @ dense[np.ix_(g, g)] @ c[list(g)]).real for g in spec.degeneracy_groups)
+    verdict = out.thermalized
+    assert verdict.diagonal_target == pytest.approx(want, rel=1e-12)
+    assert abs(verdict.plateau - want) <= verdict.tolerance
+    assert verdict.verdict == "DIAGONAL-ENSEMBLE-ONLY"
 
 
 class TestInverseExpectation:

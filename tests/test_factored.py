@@ -1,5 +1,7 @@
 """The factored observable Delta = L R^dag against the dense constructions it replaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ethsim import (
     DomainError,
     EthConfig,
     InitialState,
+    PhaseCollisionWarning,
     QpeConfig,
     WeightSpec,
     diagonal_ensemble,
@@ -22,6 +25,7 @@ from ethsim.core import (
     derivative_mask,
     identity_operator,
     projector_from_state,
+    qft_matrix,
     random_state,
 )
 from ethsim.phase_estimation import reweighted_delta
@@ -128,7 +132,7 @@ class TestFactorsCarried:
 
     def test_plain_operators_carry_none(self):
         assert identity_operator(2).factors is None
-        assert all_ones_delta(2).factors is None
+        assert all_ones_delta(2).factors is not None
 
     def test_factors_must_reproduce_the_entries(self):
         col = np.array([[1.0], [0.0]])
@@ -165,3 +169,58 @@ def test_commutator_norm_needs_a_hermitian_observable():
         spectral_commutator_norm(spec, upper)
     unflagged = DenseOperator(4, _delta("dense", 2).entries)
     assert _close(spectral_commutator_norm(spec, unflagged), commutator_norm(_operator(2, False), unflagged))
+
+
+def _qft_all_ones(n_qubits, scale):
+    """scale * F^dag diag(1, 0, ..., 0) F by explicit products, without factors."""
+    f = qft_matrix(n_qubits).entries
+    d0 = np.zeros_like(f)
+    d0[0, 0] = 1.0
+    mat = scale * (f.conj().T @ d0 @ f)
+    return DenseOperator(f.shape[0], 0.5 * (mat + mat.conj().T), hermitian=True)
+
+
+class TestAllOnesFactors:
+    @pytest.mark.parametrize("scale", [1.0, 0.7, -2.5])
+    @pytest.mark.parametrize("n_qubits", [1, 3, 5])
+    def test_entries_and_rank_one_factors(self, n_qubits, scale):
+        delta = all_ones_delta(n_qubits, scale=scale)
+        dim = 2**n_qubits
+        np.testing.assert_array_equal(delta.entries, np.full((dim, dim), scale / dim))
+        left, right = delta.factors
+        assert left.shape == right.shape == (dim, 1)
+        np.testing.assert_allclose(left @ right.conj().T, delta.entries, rtol=0, atol=1e-15 * abs(scale))
+        np.testing.assert_allclose(delta.entries, _qft_all_ones(n_qubits, scale).entries, rtol=0, atol=1e-14 * abs(scale))
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_exact_series_matches_the_qft_construction(self, degenerate, mode):
+        a = _operator(4, degenerate)
+        qpe = QpeConfig(m=4, shift=1.0, scale=0.4, mode=mode)
+        init = InitialState(kind="explicit", amplitudes=tuple(random_state(4, seed=8).amplitudes))
+        eth = EthConfig(dt=0.37, num_steps=300, initial_state=init)
+        w = WeightSpec(kind="inverse")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PhaseCollisionWarning)
+            got = run_operator_form(a, all_ones_delta(4, scale=0.7), w, eth, qpe)
+            want = run_operator_form(a, _qft_all_ones(4, 0.7), w, eth, qpe)
+        assert _close(got.series, want.series)
+        assert _close(got.thermalized.diagonal_target, want.thermalized.diagonal_target)
+        assert _close(got.thermalized.commutator, want.thermalized.commutator)
+
+    def test_shot_run_takes_no_full_eigendecomposition(self, monkeypatch):
+        spec = eigendecompose(_operator(6, False))
+        qpe = QpeConfig(m=3, shift=1.0, scale=0.4)
+        eth = EthConfig(dt=0.37, num_steps=20, sampling="shots", shots=16, seed=5)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PhaseCollisionWarning)
+            run_operator_form(spec, all_ones_delta(6), WeightSpec(kind="inverse"), eth, qpe)
+        assert shapes == [(1, 1)]

@@ -32,9 +32,9 @@ from ethsim import (
 )
 from ethsim.core import all_ones_delta, identity_operator
 from ethsim.phase_estimation import (
+    _hadamard_matrix,
     energy_of_index,
     entangle_matrix,
-    is_dyadic,
     joint_observable_matrix,
     qpe_sandwich_matrix,
     upsilon_table,
@@ -101,10 +101,6 @@ class TestPhaseMap:
             warnings.simplefilter("error")
             register_indices(spec, config)
 
-    def test_is_dyadic(self):
-        assert is_dyadic(DYADIC_2Q, DYADIC_QPE)
-        assert not is_dyadic(SIGMA_Z, QpeConfig(m=2, shift=-1.2, scale=0.3))
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             QpeConfig(m=0)
@@ -112,6 +108,14 @@ class TestPhaseMap:
             QpeConfig(m=2, scale=0.0)
         with pytest.raises(ConfigError):
             QpeConfig(m=2, mode="measured")
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_hadamard_matrix_matches_the_popcount_signs(m):
+    dim = 2**m
+    j = np.arange(dim)
+    signs = (-1.0) ** np.array([[bin(a & b).count("1") for b in j] for a in j], dtype=float)
+    np.testing.assert_array_equal(_hadamard_matrix(m), signs / np.sqrt(dim))
 
 
 class TestEntangle:

@@ -23,7 +23,6 @@ from ethsim import (
     uniform_superposition,
 )
 from ethsim.core import DenseOperator, all_ones_delta, basis_state, derivative_mask, identity_operator
-from ethsim.weights import negative_count
 
 DYADIC_2Q = from_pauli_terms(
     2, [PauliTerm(0.625, "II"), PauliTerm(0.25, "ZI"), PauliTerm(0.125, "IZ")]
@@ -204,9 +203,6 @@ class TestWeights:
         vals = w.evaluate(np.array([0.0, -2.0]), 4.0)
         assert vals[0] == pytest.approx(math.log(1e-4))
         assert vals[1] == pytest.approx(math.log(2.0))
-
-    def test_negative_count(self):
-        assert negative_count(np.array([-1.0, 0.0, 2.0, -3.0])) == 2
 
     def test_bad_configs(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 """The benchmark's hooks into the package: every name it wraps or calls exists."""
 
+import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from ethsim.config import load_config
 from ethsim.phase_estimation import _transform_register_rows, register_amplitudes
 from ethsim.runner import execute_experiment
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name, monkeypatch):
@@ -59,3 +62,25 @@ def test_shot_runs_pass_the_benchmark_correctness_gate(monkeypatch, tmp_path, n_
         summary = reference.load_summary(tmp_path, name)
         ref = reference.reference(summary["config"], problem.matrix, (problem.eigenvalues, problem.eigenvectors))
         assert reference.check(summary, ref, tmp_path) == []
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in ethsim.__all__ if not hasattr(ethsim, name)]
+    assert missing == []
+
+
+def test_readme_library_use_names_are_exported():
+    """Every name the README's "Library use" section imports or lists under a
+    module is exported from ethsim, as that module's own object."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    imported = re.search(r"from ethsim import \(([^)]*)\)", section).group(1)
+    names = [(None, name) for name in re.findall(r"\w+", imported)]
+    for module, listed in re.findall(r"`(ethsim\.\w+)`(?: \(([^)]*)\))?", section):
+        importlib.import_module(module)
+        names += [(module, name) for name in re.findall(r"`(\w+)`", listed)]
+    assert len(names) > 10
+    for module, name in names:
+        assert name in ethsim.__all__, name
+        if module is not None:
+            assert getattr(ethsim, name) is getattr(sys.modules[module], name), name
