@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -26,14 +27,9 @@ import numpy as np
 
 from .core import PauliTerm
 from .errors import ConfigError
-from .estimators import (
-    INITIAL_STATE_KINDS,
-    SAMPLING_MODES,
-    EthConfig,
-    InitialState,
-)
-from .phase_estimation import QPE_MODES, QpeConfig
-from .weights import WEIGHT_KINDS, WeightSpec
+from .estimators import EthConfig, InitialState
+from .phase_estimation import QpeConfig
+from .weights import WeightSpec
 
 TARGETS = ("time-average", "inverse-expectation", "logdet-gradient")
 FORMS = ("operator", "vector")
@@ -46,39 +42,6 @@ def _fail(field_name: str, reason: str):
     raise ConfigError(f"field {field_name!r}: {reason}")
 
 
-def _require(d: dict, field_name: str, key: str):
-    if key not in d:
-        _fail(f"{field_name}.{key}", "missing required key")
-    return d[key]
-
-
-def _as_int(value, field_name: str) -> int:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        return int(value)
-    except (TypeError, ValueError):
-        _fail(field_name, f"expected an integer, got {value!r}")
-
-
-def _as_float(value, field_name: str) -> float:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        return float(value)
-    except (TypeError, ValueError):
-        _fail(field_name, f"expected a number, got {value!r}")
-
-
-def _reject_unknown(d, field_name: str, known) -> dict:
-    if not isinstance(d, dict):
-        _fail(field_name, "must be a mapping")
-    for key in d:
-        if key not in known:
-            _fail(f"{field_name}.{key}", "unknown field")
-    return d
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """The operator A: explicit Pauli terms, a matrix file, or a preset name."""
@@ -86,7 +49,7 @@ class ProblemSpec:
     kind: str
     terms: tuple = ()
     path: str = ""
-    name: str = ""
+    preset: str = ""
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -95,8 +58,8 @@ class ProblemSpec:
             _fail("problem.terms", "at least one term is required")
         if self.kind == "dense-matrix-file" and not self.path:
             _fail("problem.path", "matrix file path is required")
-        if self.kind == "preset" and not self.name:
-            _fail("problem.name", "preset name is required")
+        if self.kind == "preset" and not self.preset:
+            _fail("problem.preset", "preset name is required")
 
 
 @dataclass(frozen=True)
@@ -148,14 +111,14 @@ class ExperimentConfig:
     """Fully validated experiment description; every field is explicit."""
 
     name: str
-    target: str
-    form: str
-    seed: int
     problem: ProblemSpec
-    delta: DeltaSpec
-    weight: WeightSpec
     qpe: QpeConfig
     eth: EthConfig
+    target: str = "time-average"
+    form: str = "operator"
+    seed: int = 0
+    delta: DeltaSpec = field(default_factory=partial(DeltaSpec, "identity"))
+    weight: WeightSpec = field(default_factory=WeightSpec)
     phi: object = None
     expected: Optional[float] = None
     tolerance: Optional[float] = None
@@ -170,6 +133,8 @@ class ExperimentConfig:
             _fail("target", f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.form not in FORMS:
             _fail("form", f"unknown form {self.form!r}; expected one of {FORMS}")
+        if self.target == "logdet-gradient" and self.form == "vector":
+            _fail("form", "target 'logdet-gradient' runs only in the operator form")
         needs_phi = self.target == "inverse-expectation" or self.form == "vector"
         if needs_phi and self.phi is None:
             _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
@@ -183,68 +148,28 @@ class ExperimentConfig:
         return replace(self, outputs=replace(self.outputs, **kwargs))
 
     def to_dict(self) -> dict:
-        init = self.eth.initial_state
-        return {
-            "name": self.name,
-            "target": self.target,
-            "form": self.form,
-            "seed": self.seed,
-            "problem": {
-                "kind": self.problem.kind,
-                "terms": [[c, a] for c, a in self.problem.terms],
-                "path": self.problem.path,
-                "preset": self.problem.name,
-            },
-            "delta": {
-                "kind": self.delta.kind,
-                "scale": self.delta.scale,
-                "entries": [
-                    [int(r), int(c), float(complex(v).real), float(complex(v).imag)]
-                    for r, c, v in self.delta.entries
-                ],
-                "state": _amplitudes_to_json(self.delta.state),
-            },
-            "phi": _amplitudes_to_json(self.phi),
-            "weight": {
-                "kind": self.weight.kind,
-                "policy": self.weight.policy,
-                "eta": self.weight.eta,
-            },
-            "qpe": {
-                "m": self.qpe.m,
-                "shift": self.qpe.shift,
-                "scale": self.qpe.scale,
-                "mode": self.qpe.mode,
-            },
-            "eth": {
-                "dt": self.eth.dt,
-                "num_steps": self.eth.num_steps,
-                "sampling": self.eth.sampling,
-                "shots": self.eth.shots,
-                "repetitions": self.eth.repetitions,
-                "initial_state": {
-                    "kind": init.kind,
-                    "seed": init.seed,
-                    "amplitudes": _amplitudes_to_json(
-                        None if init.amplitudes is None else np.asarray(init.amplitudes)
-                    ),
-                },
-            },
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "outputs": {
-                "out_dir": self.outputs.out_dir,
-                "format": self.outputs.format,
-                "basename": self.outputs.basename or self.name,
-            },
-            "sweep": None
-            if self.sweep is None
-            else {
-                "ratios": list(self.sweep.ratios),
-                "seed": self.sweep.seed,
-                "n_qubits": self.sweep.n_qubits,
-            },
-        }
+        data = _dump(_ROOT, self)
+        # an empty basename stands for the config's name, as the runner reads it
+        data["outputs"]["basename"] = self.outputs.basename or self.name
+        return data
+
+
+def _as_int(value, field_name: str) -> int:
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError):
+        _fail(field_name, f"expected an integer, got {value!r}")
+
+
+def _as_float(value, field_name: str) -> float:
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        return float(value)
+    except (TypeError, ValueError):
+        _fail(field_name, f"expected a number, got {value!r}")
 
 
 def _amplitudes_to_json(value):
@@ -303,6 +228,130 @@ def _parse_mask_entries(raw, field_name: str) -> tuple:
     return tuple(entries)
 
 
+def _mask_entries_to_json(entries) -> list:
+    return [[int(r), int(c), float(complex(v).real), float(complex(v).imag)] for r, c, v in entries]
+
+
+def _parse_ratios(raw, field_name: str) -> tuple:
+    ratios = [raw] if isinstance(raw, (int, float)) else raw
+    return tuple(_as_float(r, field_name) for r in ratios)
+
+
+def _dotted(block: str, key: str) -> str:
+    return f"{block}.{key}" if block else key
+
+
+def _build(cls, table: dict, raw, block: str, **extra):
+    """One config block as a `cls`: reject keys outside `table`, name a
+    missing required field, parse the keys present. Defaults and kind checks
+    are `cls`'s own."""
+    if not isinstance(raw, dict):
+        _fail(block, "must be a mapping")
+    for key in raw:
+        if key not in table:
+            _fail(_dotted(block, key), "unknown field")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
+            _fail(_dotted(block, f.name), "missing required key")
+    nullable = {f.name for f in fields(cls) if f.default is None}
+    parsed = {
+        key: _parse(parse, raw[key], _dotted(block, key), key in nullable)
+        for key, (parse, _) in table.items()
+        if key in raw
+    }
+    return cls(**parsed, **extra)
+
+
+def _parse(parse, value, field_name: str, nullable: bool):
+    """A null stays null where the field's default is null. A value of the
+    wrong shape (a scalar for a list, text for numbers) is a config error,
+    not a traceback."""
+    if value is None and nullable:
+        return None
+    try:
+        return parse(value, field_name)
+    except (TypeError, ValueError) as exc:
+        _fail(field_name, f"cannot parse {value!r} ({exc})")
+
+
+def _dump(table: dict, obj) -> dict:
+    """The JSON layout of a block: its table's keys in order, each non-null
+    value through the table's writer; keys without a writer are not written."""
+    return {
+        key: None if getattr(obj, key) is None else write(getattr(obj, key))
+        for key, (_, write) in table.items()
+        if write is not None
+    }
+
+
+def _block(cls, table: dict):
+    return partial(_build, cls, table), partial(_dump, table)
+
+
+def _same(value):
+    return value
+
+
+# Each table maps every key its block accepts to (parse, write): parse takes
+# the raw value and the dotted field name, write turns the field back into
+# JSON (None: accepted, never written). A nested block's entry is `_block`'s.
+_TEXT = (lambda value, name: str(value), _same)
+_INT = (_as_int, _same)
+_NUMBER = (_as_float, _same)
+_AMPLITUDES = (parse_amplitudes, _amplitudes_to_json)
+
+_PROBLEM = {
+    "kind": _TEXT,
+    "terms": (_parse_terms, lambda terms: [[c, a] for c, a in terms]),
+    "path": _TEXT,
+    "preset": _TEXT,
+}
+_DELTA = {
+    "kind": _TEXT,
+    "scale": _NUMBER,
+    "entries": (_parse_mask_entries, _mask_entries_to_json),
+    "state": _AMPLITUDES,
+}
+_WEIGHT = {"kind": _TEXT, "policy": _TEXT, "eta": _NUMBER}
+_QPE = {"m": _INT, "shift": _NUMBER, "scale": _NUMBER, "mode": _TEXT}
+_INITIAL_STATE = {
+    "kind": _TEXT,
+    "seed": _INT,
+    "amplitudes": (
+        lambda value, name: tuple(map(complex, parse_amplitudes(value, name))),
+        _amplitudes_to_json,
+    ),
+}
+_ETH = {
+    "dt": _NUMBER,
+    "num_steps": _INT,
+    "sampling": _TEXT,
+    "shots": _INT,
+    "repetitions": _INT,
+    "initial_state": _block(InitialState, _INITIAL_STATE),
+    # derived from the top-level seed; a contradicting value is rejected
+    "seed": (_as_int, None),
+}
+_OUTPUTS = {"out_dir": _TEXT, "format": _TEXT, "basename": _TEXT}
+_SWEEP = {"ratios": (_parse_ratios, list), "seed": _INT, "n_qubits": _INT}
+_ROOT = {
+    "name": _TEXT,
+    "target": _TEXT,
+    "form": _TEXT,
+    "seed": _INT,
+    "problem": _block(ProblemSpec, _PROBLEM),
+    "delta": _block(DeltaSpec, _DELTA),
+    "phi": _AMPLITUDES,
+    "weight": _block(WeightSpec, _WEIGHT),
+    "qpe": _block(QpeConfig, _QPE),
+    "eth": _block(EthConfig, _ETH),
+    "expected": _NUMBER,
+    "tolerance": _NUMBER,
+    "outputs": _block(OutputSpec, _OUTPUTS),
+    "sweep": _block(SweepSpec, _SWEEP),
+}
+
+
 def from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a raw mapping into an ExperimentConfig.
 
@@ -310,135 +359,10 @@ def from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    known = {
-        "name", "target", "form", "seed", "problem", "delta", "phi", "weight",
-        "qpe", "eth", "expected", "tolerance", "outputs", "sweep", "schema_version",
-    }
-    for key in data:
-        if key not in known:
-            _fail(key, "unknown top-level field")
-
-    name = str(_require(data, "config", "name"))
-    target = str(data.get("target", "time-average"))
-    form = str(data.get("form", "operator"))
-    seed = _as_int(data.get("seed", 0), "seed")
-
-    praw = _reject_unknown(
-        _require(data, "config", "problem"), "problem", ("kind", "terms", "path", "preset", "name")
-    )
-    problem = ProblemSpec(
-        kind=str(_require(praw, "problem", "kind")),
-        terms=_parse_terms(praw.get("terms", ()), "problem.terms"),
-        path=str(praw.get("path", "")),
-        name=str(praw.get("preset", praw.get("name", ""))),
-    )
-
-    draw = _reject_unknown(
-        data.get("delta", {"kind": "identity"}), "delta", ("kind", "scale", "entries", "state")
-    )
-    delta = DeltaSpec(
-        kind=str(_require(draw, "delta", "kind")),
-        scale=_as_float(draw.get("scale", 1.0), "delta.scale"),
-        entries=_parse_mask_entries(draw.get("entries", ()), "delta.entries"),
-        state=parse_amplitudes(draw.get("state", "uniform"), "delta.state"),
-    )
-
-    wraw = _reject_unknown(data.get("weight", {}), "weight", ("kind", "policy", "eta"))
-    wkind = str(wraw.get("kind", "unit"))
-    if wkind not in WEIGHT_KINDS:
-        _fail("weight.kind", f"unknown kind {wkind!r}")
-    weight = WeightSpec(
-        kind=wkind,
-        policy=str(wraw.get("policy", "reject")),
-        eta=None if wraw.get("eta") is None else _as_float(wraw["eta"], "weight.eta"),
-    )
-
-    qraw = _reject_unknown(
-        _require(data, "config", "qpe"), "qpe", ("m", "shift", "scale", "mode")
-    )
-    mode = str(qraw.get("mode", "exact-binning"))
-    if mode not in QPE_MODES:
-        _fail("qpe.mode", f"unknown mode {mode!r}")
-    qpe = QpeConfig(
-        m=_as_int(_require(qraw, "qpe", "m"), "qpe.m"),
-        shift=_as_float(qraw.get("shift", 0.0), "qpe.shift"),
-        scale=_as_float(qraw.get("scale", 1.0), "qpe.scale"),
-        mode=mode,
-    )
-
-    eraw = _reject_unknown(
-        _require(data, "config", "eth"),
-        "eth",
-        ("dt", "num_steps", "sampling", "shots", "repetitions", "initial_state", "seed"),
-    )
-    # eth.seed is derived from the top-level seed; a contradictory value in
-    # the file must not be silently dropped
-    if "seed" in eraw and _as_int(eraw["seed"], "eth.seed") != seed:
-        _fail("eth.seed", "must equal the top-level seed (set only the top-level one)")
-    iraw = _reject_unknown(
-        eraw.get("initial_state", {}), "eth.initial_state", ("kind", "seed", "amplitudes")
-    )
-    ikind = str(iraw.get("kind", "uniform"))
-    if ikind not in INITIAL_STATE_KINDS:
-        _fail("eth.initial_state.kind", f"unknown kind {ikind!r}")
-    amps = parse_amplitudes(iraw.get("amplitudes"), "eth.initial_state.amplitudes")
-    initial = InitialState(
-        kind=ikind,
-        seed=None if iraw.get("seed") is None else _as_int(iraw["seed"], "eth.initial_state.seed"),
-        amplitudes=None if amps is None else tuple(complex(x) for x in np.asarray(amps)),
-    )
-    sampling = str(eraw.get("sampling", "exact"))
-    if sampling not in SAMPLING_MODES:
-        _fail("eth.sampling", f"unknown sampling {sampling!r}")
-    eth = EthConfig(
-        dt=_as_float(_require(eraw, "eth", "dt"), "eth.dt"),
-        num_steps=_as_int(_require(eraw, "eth", "num_steps"), "eth.num_steps"),
-        sampling=sampling,
-        shots=_as_int(eraw.get("shots", 0), "eth.shots"),
-        seed=seed,
-        initial_state=initial,
-        repetitions=_as_int(eraw.get("repetitions", 1), "eth.repetitions"),
-    )
-
-    oraw = _reject_unknown(data.get("outputs", {}), "outputs", ("out_dir", "format", "basename"))
-    outputs = OutputSpec(
-        out_dir=str(oraw.get("out_dir", ".")),
-        format=str(oraw.get("format", "csv")),
-        basename=str(oraw.get("basename", "")) or name,
-    )
-
-    sraw = data.get("sweep")
-    sweep = None
-    if sraw is not None:
-        _reject_unknown(sraw, "sweep", ("ratios", "seed", "n_qubits"))
-        ratios_raw = _require(sraw, "sweep", "ratios")
-        if isinstance(ratios_raw, (int, float)):
-            ratios_raw = [ratios_raw]
-        sweep = SweepSpec(
-            ratios=tuple(_as_float(r, "sweep.ratios") for r in ratios_raw),
-            seed=_as_int(_require(sraw, "sweep", "seed"), "sweep.seed"),
-            n_qubits=_as_int(sraw.get("n_qubits", 3), "sweep.n_qubits"),
-        )
-
-    return ExperimentConfig(
-        name=name,
-        target=target,
-        form=form,
-        seed=seed,
-        problem=problem,
-        delta=delta,
-        weight=weight,
-        qpe=qpe,
-        eth=eth,
-        phi=parse_amplitudes(data.get("phi"), "phi"),
-        expected=None if data.get("expected") is None else _as_float(data["expected"], "expected"),
-        tolerance=None
-        if data.get("tolerance") is None
-        else _as_float(data["tolerance"], "tolerance"),
-        outputs=outputs,
-        sweep=sweep,
-        base_dir=base_dir,
-    )
+    # eth.seed is the top-level seed unless the file repeats it
+    if isinstance(data.get("eth"), dict) and "seed" in data:
+        data = {**data, "eth": {"seed": data["seed"], **data["eth"]}}
+    return _build(ExperimentConfig, _ROOT, data, "", base_dir=base_dir)
 
 
 def _parse_text_value(raw: str):

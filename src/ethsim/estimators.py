@@ -69,7 +69,8 @@ class InitialState:
     def __post_init__(self):
         if self.kind not in INITIAL_STATE_KINDS:
             raise ConfigError(
-                f"unknown initial-state kind {self.kind!r}; expected one of {INITIAL_STATE_KINDS}"
+                f"field 'eth.initial_state.kind': unknown kind {self.kind!r}; "
+                f"expected one of {INITIAL_STATE_KINDS}"
             )
         if self.kind == "explicit" and self.amplitudes is None:
             raise ConfigError("explicit initial state requires amplitudes")
@@ -93,7 +94,9 @@ class EthConfig:
         if self.num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.sampling not in SAMPLING_MODES:
-            raise ConfigError(f"unknown sampling mode {self.sampling!r}")
+            raise ConfigError(
+                f"field 'eth.sampling': unknown mode {self.sampling!r}; expected one of {SAMPLING_MODES}"
+            )
         if self.sampling == "shots" and self.shots < 1:
             raise ConfigError("shots sampling requires shots >= 1")
         if self.repetitions < 1:

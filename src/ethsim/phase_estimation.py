@@ -55,7 +55,7 @@ class QpeConfig:
         if not np.isfinite(self.shift):
             raise ConfigError(f"phase-map shift must be finite, got {self.shift!r}")
         if self.mode not in QPE_MODES:
-            raise ConfigError(f"unknown qpe mode {self.mode!r}; expected one of {QPE_MODES}")
+            raise ConfigError(f"field 'qpe.mode': unknown mode {self.mode!r}; expected one of {QPE_MODES}")
 
     @property
     def register_size(self) -> int:

@@ -51,7 +51,7 @@ def resolve_preset_reference(config: ExperimentConfig) -> ExperimentConfig:
     referencing config survives the expansion."""
     if config.problem.kind != "preset":
         return config
-    base = build_preset(config.problem.name)
+    base = build_preset(config.problem.preset)
     return replace(base, outputs=config.outputs)
 
 

@@ -44,7 +44,7 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
-            raise ConfigError(f"unknown weight kind {self.kind!r}; expected one of {WEIGHT_KINDS}")
+            raise ConfigError(f"field 'weight.kind': unknown kind {self.kind!r}; expected one of {WEIGHT_KINDS}")
         if self.policy not in ("reject", "regularize"):
             raise ConfigError(f"unknown singularity policy {self.policy!r}")
         if self.kind == "custom" and self.fn is None:

@@ -1,5 +1,6 @@
 """Experiment config parsing, serialization round trips, and file formats."""
 
+import functools
 import json
 import math
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ethsim import ConfigError
+from ethsim import ConfigError, config
+from ethsim.cli import main
 from ethsim.config import (
     DELTA_KINDS,
     FORMS,
@@ -82,6 +84,84 @@ class TestFromDict:
         data = self.base()
         data["phi"] = None
         with pytest.raises(ConfigError, match="phi"):
+            from_dict(data)
+
+    def test_logdet_gradient_rejects_the_vector_form(self, tmp_path, capsys):
+        data = json.loads(json.dumps(build_preset("logdet-2q").to_dict()))
+        data["form"] = "vector"
+        with pytest.raises(ConfigError, match="'form'"):
+            from_dict(data)
+        path = tmp_path / "logdet-vector.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "'form'" in capsys.readouterr().err
+
+    def test_schema_version_is_an_unknown_field(self):
+        data = self.base()
+        data["schema_version"] = 1
+        with pytest.raises(ConfigError, match="'schema_version': unknown field"):
+            from_dict(data)
+
+    def test_problem_names_a_preset_only_by_preset(self):
+        data = self.base()
+        data["problem"] = {"kind": "preset", "preset": "inverse-2q"}
+        assert from_dict(data).problem.preset == "inverse-2q"
+        data["problem"] = {"kind": "preset", "name": "inverse-2q"}
+        with pytest.raises(ConfigError, match="'problem.name': unknown field"):
+            from_dict(data)
+
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            ("weight", "kind", "bogus"),
+            ("qpe", "mode", "bogus"),
+            ("eth", "sampling", "bogus"),
+            ("eth.initial_state", "kind", "bogus"),
+            ("problem", "terms", None),
+            ("eth.initial_state", "amplitudes", "uniform"),
+        ],
+    )
+    def test_bad_value_names_its_dotted_field(self, block, key, value):
+        data = self.base()
+        node = data
+        for part in block.split("."):
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError) as excinfo:
+            from_dict(data)
+        assert f"'{block}.{key}'" in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+
+    def test_missing_nested_key_names_field(self):
+        data = self.base()
+        del data["eth"]["dt"]
+        with pytest.raises(ConfigError, match="'eth.dt': missing required key"):
+            from_dict(data)
+
+    def test_left_out_keys_take_the_dataclass_defaults(self):
+        data = {
+            "name": "minimal",
+            "problem": {"kind": "pauli-terms", "terms": ["1.0 Z"]},
+            "qpe": {"m": 2},
+            "eth": {"dt": 0.5, "num_steps": 4},
+        }
+        cfg = from_dict(data)
+        assert (cfg.target, cfg.form, cfg.seed, cfg.eth.seed) == ("time-average", "operator", 0, 0)
+        assert cfg.delta.kind == "identity" and cfg.delta.scale == 1.0
+        assert (cfg.weight.kind, cfg.weight.policy, cfg.weight.eta) == ("unit", "reject", None)
+        assert (cfg.qpe.shift, cfg.qpe.scale, cfg.qpe.mode) == (0.0, 1.0, "exact-binning")
+        assert (cfg.eth.sampling, cfg.eth.shots, cfg.eth.repetitions) == ("exact", 0, 1)
+        assert cfg.eth.initial_state.kind == "uniform"
+        assert cfg.outputs.format == "csv" and cfg.to_dict()["outputs"]["basename"] == "minimal"
+        assert cfg.sweep is None and cfg.phi is None
+
+    def test_null_is_accepted_only_where_the_default_is_null(self):
+        data = self.base()
+        data["weight"]["eta"] = None
+        data["eth"]["initial_state"]["seed"] = None
+        assert from_dict(data).weight.eta is None
+        data["eth"]["shots"] = None
+        with pytest.raises(ConfigError, match="'eth.shots': expected an integer"):
             from_dict(data)
 
     def test_terms_as_strings(self):
@@ -375,6 +455,32 @@ class TestReadme:
         block = re.search(r"produces:\n\n```\n(.*?)```", text, re.S).group(1)
         assert block.strip() == to_keyvalue_text(build_preset("inverse-2q")).strip()
         assert from_dict(parse_keyvalue_text(block)).to_dict() == build_preset("inverse-2q").to_dict()
+
+    @staticmethod
+    def accepted_keys(table=None, prefix=""):
+        """Every dotted key the parser tables accept; a nested block's entry
+        parses with partial(_build, cls, table)."""
+        for key, (parse, _) in (config._ROOT if table is None else table).items():
+            if isinstance(parse, functools.partial):
+                yield from TestReadme.accepted_keys(parse.args[1], f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    def test_config_files_section_names_exactly_the_accepted_keys(self):
+        text = README.read_text()
+        start = text.index("## Config files")
+        section = text[start : text.index("\n## ", start)]
+        block = re.search(r"produces:\n\n```\n(.*?)```", section, re.S).group(1)
+        named = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
+        # dotted backticked names, except Python names under the package
+        named |= {
+            key
+            for key in re.findall(r"`([a-z_]+(?:\.[a-z_]+)+)`", section)
+            if not key.startswith("ethsim.")
+        }
+        accepted = set(self.accepted_keys())
+        assert named - accepted == set()
+        assert accepted - named == set()
 
     def test_section_notes_name_every_accepted_kind(self):
         notes = re.findall(
