@@ -112,8 +112,9 @@ class ExperimentConfig:
 
     name: str
     problem: ProblemSpec
-    qpe: QpeConfig
-    eth: EthConfig
+    # a preset reference leaves both to the preset it names
+    qpe: Optional[QpeConfig] = None
+    eth: Optional[EthConfig] = None
     target: str = "time-average"
     form: str = "operator"
     seed: int = 0
@@ -129,6 +130,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name:
             _fail("name", "must be nonempty")
+        for key in ("qpe", "eth"):
+            if getattr(self, key) is None and self.problem.kind != "preset":
+                _fail(key, "missing required key (only a preset reference may leave it out)")
         if self.target not in TARGETS:
             _fail("target", f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.form not in FORMS:
@@ -138,11 +142,11 @@ class ExperimentConfig:
         needs_phi = self.target == "inverse-expectation" or self.form == "vector"
         if needs_phi and self.phi is None:
             _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
-        if self.eth.seed != self.seed:
+        if self.eth is not None and self.eth.seed != self.seed:
             _fail("eth.seed", "must equal the top-level seed (set only the top-level one)")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed, eth=replace(self.eth, seed=seed))
+        return replace(self, seed=seed, eth=self.eth and replace(self.eth, seed=seed))
 
     def with_outputs(self, **kwargs) -> "ExperimentConfig":
         return replace(self, outputs=replace(self.outputs, **kwargs))
@@ -155,8 +159,10 @@ class ExperimentConfig:
 
 
 def _as_int(value, field_name: str) -> int:
+    """An integer, or a number with an integral value (4.0); a bool, a
+    fraction (2.7) or a non-finite number is a config error."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return int(value)
     except (TypeError, ValueError):
@@ -219,7 +225,7 @@ def _parse_mask_entries(raw, field_name: str) -> tuple:
     for item in raw:
         try:
             parts = list(item)
-            row, col = int(parts[0]), int(parts[1])
+            row, col = _as_int(parts[0], field_name), _as_int(parts[1], field_name)
             re = float(parts[2])
             im = float(parts[3]) if len(parts) > 3 else 0.0
             entries.append((row, col, complex(re, im)))

@@ -73,20 +73,24 @@ class StateVector:
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Dense square operator with a validated hermitian flag and, when its
-    builder knows them, factors (L, R): two N x r arrays with entries = L R^dag."""
+    builder knows them, factors (L, R): two N x r arrays with entries = L R^dag.
+    hermitian=None sets the flag from the same scan that validates a True one:
+    max |M - M^dag| <= HERMITIAN_TOL."""
 
     dim: int
     entries: np.ndarray
-    hermitian: bool = False
+    hermitian: bool | None = False
     factors: tuple | None = None
 
     def __post_init__(self):
         mat = _frozen_array(self.entries)
         if mat.shape != (self.dim, self.dim):
             raise DomainError(f"operator has shape {mat.shape}, expected ({self.dim}, {self.dim})")
-        if self.hermitian:
+        if self.hermitian is None or self.hermitian:
             dev = float(np.abs(mat - mat.conj().T).max())
-            if dev > HERMITIAN_TOL:
+            if self.hermitian is None:
+                object.__setattr__(self, "hermitian", dev <= HERMITIAN_TOL)
+            elif dev > HERMITIAN_TOL:
                 raise DomainError(f"hermitian flag set but max |M - M^dag| = {dev}")
         if self.factors is not None:
             left, right = (_frozen_array(f) for f in self.factors)
@@ -122,8 +126,7 @@ def operator_from_matrix(entries) -> DenseOperator:
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {mat.shape}")
-    hermitian = bool(np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL)
-    return DenseOperator(mat.shape[0], mat, hermitian=hermitian)
+    return DenseOperator(mat.shape[0], mat, hermitian=None)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:

@@ -56,6 +56,8 @@ _CHUNK = 1 << 15
 _CHUNK_BYTES = 8 << 20
 # byte budget of a shot block's largest transient (r * max(N, 2^m) complex per step)
 _SHOT_BYTES = 1 << 20
+# steps per row of the phase table: one exponential per eigenvalue per this many steps
+_PHASE_WIDTH = 64
 
 
 @dataclass(frozen=True)
@@ -213,14 +215,27 @@ def _chunk_columns(dim: int) -> int:
 def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, chunk: int = 0):
     """Eigen-coefficients c_p(t_j) = c_p exp(-i E_p t_j) at t_j = j*dt for
     j = 1..num_steps, yielded as column blocks of chunk (default
-    _chunk_columns) steps."""
+    _chunk_columns) steps.
+
+    With j = q*W + r, r = 1..W (W = _PHASE_WIDTH), c_p(t_j) is the offset
+    exp(-i E_p dt qW) times the table entry c_p exp(-i E_p dt r): N*W
+    exponentials for the table and N per W steps for the offsets. Each entry
+    is one product of the two, so c(t_j) depends on j alone, not on the
+    block width or on num_steps."""
     chunk = chunk or _chunk_columns(eigenvalues.size)
+    angle = -dt * eigenvalues
+    table = np.exp(1.0j * np.outer(angle, np.arange(1, _PHASE_WIDTH + 1)))
+    table *= coeffs[:, None]
     for start in range(0, num_steps, chunk):
-        t = dt * np.arange(start + 1, min(start + chunk, num_steps) + 1)
-        block = np.outer(-1.0j * eigenvalues, t)
-        np.exp(block, out=block)
-        block *= coeffs[:, None]
-        yield block
+        stop = min(start + chunk, num_steps)
+        first, last = start // _PHASE_WIDTH, (stop - 1) // _PHASE_WIDTH + 1
+        offsets = np.exp(1.0j * np.outer(angle, _PHASE_WIDTH * np.arange(first, last)))
+        lo, hi = start - first * _PHASE_WIDTH, stop - first * _PHASE_WIDTH
+        if last - first == 1:
+            # a block inside one table row (a narrow shot block) takes only its own columns
+            yield offsets * table[:, lo:hi]
+        else:
+            yield (offsets[:, :, None] * table[:, None, :]).reshape(eigenvalues.size, -1)[:, lo:hi]
 
 
 def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, amps=None) -> np.ndarray:

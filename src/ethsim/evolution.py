@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import StateVector
 from .errors import ConfigError, DomainError
+from .estimators import _evolved
 from .spectral import Spectrum
 
 EVOLUTION_METHODS = ("exact", "trotter1", "trotter2")
@@ -118,12 +119,13 @@ def evolution_series(source, r: StateVector, dt: float, num_steps: int, config: 
     """States at t_j = j*dt for j = 1..num_steps, all evolved from the same r.
 
     source is a Spectrum for the exact method or an iterable of PauliTerm
-    for the Trotter methods. Exact mode advances incrementally in the
-    eigenbasis, which is algebraically identical to independent evolutions;
-    Trotter mode composes one dt-chunk per step, which coincides with the
-    product formula applied to the full duration. Returns (states, config)
-    with one gate per step tallied in exact mode and the product-formula
-    tally otherwise.
+    for the Trotter methods. Exact mode takes each step's eigen-coefficients
+    from the estimators' phase-table kernel, which computes step j from j
+    itself rather than by a recurrence over the steps before it; Trotter
+    mode composes one dt-chunk per step, which coincides with the product
+    formula applied to the full duration. Returns (states, config) with one
+    gate per step tallied in exact mode and the product-formula tally
+    otherwise.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ConfigError(f"dt must be positive and finite, got {dt!r}")
@@ -135,12 +137,9 @@ def evolution_series(source, r: StateVector, dt: float, num_steps: int, config: 
         spec = source
         if not isinstance(spec, Spectrum):
             raise DomainError("exact evolution_series needs a Spectrum source")
-        v = spec.eigenvectors
-        coeffs = v.conj().T @ r.amplitudes
-        step_phase = np.exp(-1.0j * spec.eigenvalues * dt)
-        for _ in range(num_steps):
-            coeffs = coeffs * step_phase
-            states.append(StateVector(r.n_qubits, v @ coeffs))
+        coeffs = spec.coefficients(r.amplitudes)
+        for block in _evolved(spec.eigenvalues, coeffs, dt, num_steps):
+            states.extend(StateVector(r.n_qubits, amps) for amps in (spec.eigenvectors @ block).T)
         return states, config.add_cost(num_steps)
 
     step_config = dataclasses.replace(config, dt=dt)

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ConfigError
 
 SERIES_COLUMNS = ("step", "t", "sample", "running_mean", "running_se")
+# series rows formatted per block of the CSV writer
+_CSV_ROWS = 1024
 
 
 def atomic_write_text(path, text: str) -> Path:
@@ -81,27 +83,23 @@ def read_matrix_file(path) -> np.ndarray:
     return values.view(complex)  # each row holds re, im pairs
 
 
-def _series_rows(dt: float, series, running_mean_col, running_se_col):
-    dt = float(dt)
-    for j in range(len(series)):
-        step = j + 1
-        yield step, step * dt, float(series[j]), float(running_mean_col[j]), float(
-            running_se_col[j]
-        )
-
-
 def series_csv_text(dt: float, series, running_mean_col, running_se_col) -> str:
-    lines = [",".join(SERIES_COLUMNS)]
-    for step, t, sample, rm, se in _series_rows(dt, series, running_mean_col, running_se_col):
-        lines.append(f"{step},{t!r},{sample!r},{rm!r},{se!r}")
-    return "\n".join(lines) + "\n"
+    """One f-string per row over tolist() columns, _CSV_ROWS rows at a time,
+    so only one block's Python floats and the finished text are held at once."""
+    dt = float(dt)
+    cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
+    parts = [",".join(SERIES_COLUMNS) + "\n"]
+    for lo in range(0, cols[0].size, _CSV_ROWS):
+        xs, ms, ses = (col[lo : lo + _CSV_ROWS].tolist() for col in cols)
+        steps = range(lo + 1, lo + 1 + len(xs))
+        parts.append("".join([f"{j},{j * dt!r},{x!r},{m!r},{se!r}\n" for j, x, m, se in zip(steps, xs, ms, ses)]))
+    return "".join(parts)
 
 
 def series_json_text(dt: float, series, running_mean_col, running_se_col) -> str:
-    rows = [
-        [step, t, sample, rm, se]
-        for step, t, sample, rm, se in _series_rows(dt, series, running_mean_col, running_se_col)
-    ]
+    dt = float(dt)
+    xs, ms, ses = (np.asarray(col, dtype=float).tolist() for col in (series, running_mean_col, running_se_col))
+    rows = [[j, j * dt, x, m, se] for j, x, m, se in zip(range(1, len(xs) + 1), xs, ms, ses)]
     payload = {"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": rows}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ethsim import ConfigError, config
+from ethsim import ConfigError, config, fileio
 from ethsim.cli import main
 from ethsim.config import (
     DELTA_KINDS,
@@ -109,6 +109,68 @@ class TestFromDict:
         data["problem"] = {"kind": "preset", "name": "inverse-2q"}
         with pytest.raises(ConfigError, match="'problem.name': unknown field"):
             from_dict(data)
+
+    @pytest.mark.parametrize("block,key", [("qpe", "m"), ("eth", "num_steps"), ("eth", "shots"), ("", "seed")])
+    def test_integer_fields_accept_integral_numbers_only(self, tmp_path, capsys, block, key):
+        data = self.base()
+        node = data[block] if block else data
+        node[key] = 4.0
+        echo = from_dict(data).to_dict()
+        parsed = (echo[block] if block else echo)[key]
+        assert parsed == 4 and type(parsed) is int
+        dotted = f"{block}.{key}" if block else key
+        for value in (2.7, 4.9, float("inf")):
+            node[key] = value
+            with pytest.raises(ConfigError, match=rf"'{dotted}': expected an integer, got {value!r}"):
+                from_dict(data)
+        node[key] = 4.9
+        path = tmp_path / "fraction.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert f"'{dotted}': expected an integer, got 4.9" in capsys.readouterr().err
+
+    def test_mask_indices_accept_integral_numbers_only(self):
+        data = json.loads(json.dumps(build_preset("logdet-2q").to_dict()))
+        data["delta"]["entries"] = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]
+        assert from_dict(data).delta.entries == ((0, 1, 0.5), (1, 0, 0.5))
+        data["delta"]["entries"] = [[0.9, 1.7, 0.5], [1.7, 0.9, 0.5]]
+        with pytest.raises(ConfigError, match="'delta.entries': expected an integer, got 0.9"):
+            from_dict(data)
+
+    def test_a_preset_reference_needs_no_qpe_or_eth_block(self):
+        cfg = from_dict({"name": "x", "problem": {"kind": "preset", "preset": "inverse-2q"}})
+        assert (cfg.qpe, cfg.eth) == (None, None)
+        assert from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        assert from_dict(parse_keyvalue_text(to_keyvalue_text(cfg))).to_dict() == cfg.to_dict()
+        for key in ("qpe", "eth"):
+            data = self.base()
+            del data[key]
+            with pytest.raises(ConfigError, match=f"'{key}': missing required key"):
+                from_dict(data)
+
+    def test_a_preset_reference_runs_the_preset(self, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps({"name": "x", "problem": {"kind": "preset", "preset": "inverse-2q"}}))
+        for sub, argv in (
+            ("ref", ["run", str(path)]),
+            ("preset", ["preset", "inverse-2q"]),
+            ("ref-77", ["run", str(path), "--seed", "77"]),
+            ("preset-77", ["preset", "inverse-2q", "--seed", "77"]),
+        ):
+            assert main(argv + ["--out-dir", str(tmp_path / sub)]) == 0
+        capsys.readouterr()
+        for ref, preset in (("ref", "preset"), ("ref-77", "preset-77")):
+            for name in ("inverse-2q_series.csv", "inverse-2q_summary.json"):
+                got, want = (tmp_path / d / name for d in (ref, preset))
+                if name.endswith(".json"):
+                    got, want = (read_summary(p) for p in (got, want))
+                    for summary in (got, want):
+                        summary["cost"].pop("wall_time_s")
+                        summary["config"]["outputs"].pop("out_dir")
+                    assert got == want
+                else:
+                    assert got.read_bytes() == want.read_bytes()
+        assert read_summary(tmp_path / "ref-77" / "inverse-2q_summary.json")["seed"] == 77
 
     @pytest.mark.parametrize(
         "block,key,value",
@@ -373,6 +435,37 @@ class TestSeriesFiles:
         assert data["columns"] == ["step", "t", "sample", "running_mean", "running_se"]
         assert data["rows"][2][0] == 3
         assert data["rows"][2][2] == pytest.approx(0.6)
+
+    @staticmethod
+    def element_rows(dt, series, rm, se):
+        """The earlier writer's rows: one float() per numpy element."""
+        dt = float(dt)
+        for j in range(len(series)):
+            yield j + 1, (j + 1) * dt, float(series[j]), float(rm[j]), float(se[j])
+
+    @staticmethod
+    def edge_columns(seed):
+        rng = np.random.default_rng(seed)
+        edges = [-0.0, 0.0, 1e-7, -1e-7, 1e22, -1e22, 5e-324, 2.2e-308, 1e-310, 3.0, -2.0, 1e16, 0.1, 1.0 / 3.0]
+        cols = []
+        for _ in range(3):
+            col = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-20, 20, size=200), edges])
+            rng.shuffle(col)
+            cols.append(col)
+        return cols
+
+    @pytest.mark.parametrize("block_rows", [7, 64, None])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bytes_match_the_per_element_writer(self, monkeypatch, seed, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(fileio, "_CSV_ROWS", block_rows)
+        series, rm, se = self.edge_columns(seed)
+        dt = np.float64(0.01 * math.pi)
+        rows = list(self.element_rows(dt, series, rm, se))
+        csv = "\n".join(["step,t,sample,running_mean,running_se"] + [f"{a},{b!r},{c!r},{d!r},{e!r}" for a, b, c, d, e in rows]) + "\n"
+        assert series_csv_text(dt, series, rm, se) == csv
+        payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": [list(r) for r in rows]}
+        assert series_json_text(dt, series, rm, se) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_write_series_both_formats(self, tmp_path):
         p_csv = write_series(tmp_path / "s.csv", "csv", 0.1, self.SERIES, self.RM, self.SE)

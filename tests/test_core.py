@@ -85,6 +85,30 @@ class TestOperators:
         op = operator_from_matrix(np.array([[0, 2], [0, 0]], dtype=complex))
         assert not op.hermitian
 
+    def test_operator_from_matrix_scans_once_at_the_flag_tolerance(self, monkeypatch):
+        from ethsim import core
+
+        scans = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, x):
+                scans.append(np.shape(x))
+                return np.abs(x)
+
+        monkeypatch.setattr(core, "np", CountingNumpy())
+        herm = np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]])
+        for skew, flag in ((0.0, True), (0.9e-12, True), (1.1e-12, False)):
+            scans.clear()
+            op = operator_from_matrix(herm + skew * np.array([[0, 1], [0, 0]]))
+            assert op.hermitian is flag
+            assert scans == [(2, 2)]
+        # an explicit flag is still validated with the same text
+        with pytest.raises(DomainError, match=r"hermitian flag set but max \|M - M\^dag\| = 1.1"):
+            DenseOperator(2, herm + 1.1e-12 * np.array([[0, 1], [0, 0]]), hermitian=True)
+
     def test_pauli_term_matrix(self):
         np.testing.assert_array_equal(PauliTerm(2.0, "X").matrix(), SX)
         zz = PauliTerm(1.0, "ZZ").matrix()

@@ -438,6 +438,57 @@ class TestChunkBudget:
             np.testing.assert_allclose(y.series, x.series, rtol=1e-13, atol=1e-15)
 
 
+class TestPhaseTableKernel:
+    """_evolved builds c_p(t_j) from one table row and one offset per _PHASE_WIDTH steps."""
+
+    @staticmethod
+    def inputs(dim, seed=7):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return np.sort(rng.uniform(-3.0, 3.0, size=dim)), coeffs / np.linalg.norm(coeffs)
+
+    @staticmethod
+    def columns(eigenvalues, coeffs, dt, num_steps, chunk=0):
+        return np.hstack(list(estimators._evolved(eigenvalues, coeffs, dt, num_steps, chunk)))
+
+    @pytest.mark.parametrize("num_steps", [50, 2048, 4097])
+    @pytest.mark.parametrize("dim", [2, 32, 512])
+    def test_matches_direct_exponentials(self, dim, num_steps):
+        eigenvalues, coeffs = self.inputs(dim)
+        got = self.columns(eigenvalues, coeffs, 0.37, num_steps)
+        direct = coeffs[:, None] * np.exp(-1.0j * np.outer(eigenvalues, 0.37 * np.arange(1, num_steps + 1)))
+        assert got.shape == (dim, num_steps)
+        assert np.abs(got - direct).max() <= 1e-12
+
+    def test_columns_do_not_depend_on_the_block_width(self):
+        eigenvalues, coeffs = self.inputs(8)
+        whole = self.columns(eigenvalues, coeffs, 0.37, 300)
+        for chunk in (1, 5, 63, 64, 65):
+            blocks = list(estimators._evolved(eigenvalues, coeffs, 0.37, 300, chunk))
+            assert [b.shape[1] for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+            np.testing.assert_array_equal(np.hstack(blocks), whole)
+
+    def test_short_run_is_a_prefix_of_a_longer_one(self):
+        eigenvalues, coeffs = self.inputs(8)
+        long = self.columns(eigenvalues, coeffs, 0.37, 1000)
+        for num_steps in (1, 63, 64, 65, 300):
+            np.testing.assert_array_equal(self.columns(eigenvalues, coeffs, 0.37, num_steps), long[:, :num_steps])
+
+    def test_exponentials_per_call(self, monkeypatch):
+        eigenvalues, coeffs = self.inputs(16)
+        counted = []
+        exp = np.exp
+
+        def recorded(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(estimators.np, "exp", recorded)
+        self.columns(eigenvalues, coeffs, 0.37, 2048)
+        # the N x W table, then N offsets for each of the 32 rows of W steps
+        assert sum(counted) == 16 * (64 + 32)
+
+
 @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
 class TestTimeAverageDriver:
     """The repetition loop both forms share: restarts, concatenation, means, costs."""

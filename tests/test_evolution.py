@@ -128,6 +128,16 @@ class TestEvolutionSeries:
             expected = evolve_exact(spec, r, 0.3 * j)
             np.testing.assert_allclose(state.amplitudes, expected.amplitudes, atol=1e-12)
 
+    def test_exact_states_come_from_the_estimator_kernel(self):
+        # one exact propagator: V c(t_j) with c(t_j) from the phase-table kernel
+        from ethsim import estimators
+
+        spec = eigendecompose(from_pauli_terms(2, [PauliTerm(1.0, "ZI"), PauliTerm(0.7, "XX"), PauliTerm(0.3, "IY")]))
+        r = StateVector(2, np.array([0.6, 0.0, 0.8j, 0.0]))
+        states, _ = evolution_series(spec, r, 0.3, 200, EvolutionConfig(method="exact", dt=0.3))
+        cols = np.hstack(list(estimators._evolved(spec.eigenvalues, spec.coefficients(r.amplitudes), 0.3, 200)))
+        np.testing.assert_allclose([s.amplitudes for s in states], (spec.eigenvectors @ cols).T, rtol=0, atol=1e-15)
+
     def test_trotter_series_tally(self):
         r = uniform_superposition(1)
         _, cfg = evolution_series(
