@@ -155,6 +155,8 @@ class ExperimentConfig:
         data = _dump(_ROOT, self)
         # an empty basename stands for the config's name, as the runner reads it
         data["outputs"]["basename"] = self.outputs.basename or self.name
+        if self.problem.kind == "preset":
+            return {key: data[key] for key in _PRESET_REFERENCE_KEYS}
         return data
 
 
@@ -358,6 +360,10 @@ _ROOT = {
 }
 
 
+# the root keys a problem.kind = preset config may carry; the preset supplies every other
+_PRESET_REFERENCE_KEYS = ("name", "problem", "outputs")
+
+
 def from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a raw mapping into an ExperimentConfig.
 
@@ -365,6 +371,10 @@ def from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
+    if isinstance(data.get("problem"), dict) and data["problem"].get("kind") == "preset":
+        for key in data:
+            if key not in _PRESET_REFERENCE_KEYS:
+                _fail(key, "a preset reference takes only name, problem and outputs; the preset sets the rest")
     # eth.seed is the top-level seed unless the file repeats it
     if isinstance(data.get("eth"), dict) and "seed" in data:
         data = {**data, "eth": {"seed": data["seed"], **data["eth"]}}

@@ -17,6 +17,8 @@ MAX_QUBITS = 14
 
 NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
+# byte budget of one row block of an N x N check (N complex per row)
+_ROW_BYTES = 1 << 18
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -33,6 +35,17 @@ def _check_qubit_count(n_qubits: int) -> None:
         raise DomainError(
             f"qubit count {n_qubits} exceeds the dense-simulation cap of {MAX_QUBITS}"
         )
+
+
+def row_blocks(dim: int):
+    """Row slices of an N = dim matrix, each at most _ROW_BYTES of complex rows (at least one row)."""
+    rows = max(1, _ROW_BYTES // (16 * dim))
+    return [slice(lo, lo + rows) for lo in range(0, dim, rows)]
+
+
+def hermitian_deviation(mat: np.ndarray) -> float:
+    """max |M - M^dag|, one row block at a time."""
+    return float(np.max([np.abs(mat[rows] - mat[:, rows].conj().T).max() for rows in row_blocks(mat.shape[0])]))
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
@@ -75,7 +88,7 @@ class DenseOperator:
     """Dense square operator with a validated hermitian flag and, when its
     builder knows them, factors (L, R): two N x r arrays with entries = L R^dag.
     hermitian=None sets the flag from the same scan that validates a True one:
-    max |M - M^dag| <= HERMITIAN_TOL."""
+    max |M - M^dag| <= HERMITIAN_TOL. Both checks run in row blocks."""
 
     dim: int
     entries: np.ndarray
@@ -87,17 +100,23 @@ class DenseOperator:
         if mat.shape != (self.dim, self.dim):
             raise DomainError(f"operator has shape {mat.shape}, expected ({self.dim}, {self.dim})")
         if self.hermitian is None or self.hermitian:
-            dev = float(np.abs(mat - mat.conj().T).max())
+            dev = hermitian_deviation(mat)
             if self.hermitian is None:
                 object.__setattr__(self, "hermitian", dev <= HERMITIAN_TOL)
             elif dev > HERMITIAN_TOL:
                 raise DomainError(f"hermitian flag set but max |M - M^dag| = {dev}")
         if self.factors is not None:
             left, right = (_frozen_array(f) for f in self.factors)
-            if left.shape != right.shape or left.shape[:-1] != (self.dim,) or np.abs(left @ right.conj().T - mat).max() > HERMITIAN_TOL:
+            if left.shape != right.shape or left.shape[:-1] != (self.dim,) or _factor_deviation(left, right, mat) > HERMITIAN_TOL:
                 raise DomainError(f"factors of shapes {left.shape} and {right.shape} do not give the entries as L R^dag")
             object.__setattr__(self, "factors", (left, right))
         object.__setattr__(self, "entries", mat)
+
+
+def _factor_deviation(left: np.ndarray, right: np.ndarray, mat: np.ndarray) -> float:
+    """max |L R^dag - M|, one row block at a time."""
+    right_h = right.conj().T
+    return float(np.max([np.abs(left[rows] @ right_h - mat[rows]).max() for rows in row_blocks(mat.shape[0])]))
 
 
 @dataclass(frozen=True)
@@ -195,9 +214,11 @@ def from_pauli_terms(n_qubits: int, terms) -> DenseOperator:
 
 def projector_from_state(phi: StateVector) -> DenseOperator:
     """Rank-one projector |phi><phi|; trace is exactly 1."""
-    mat = np.outer(phi.amplitudes, phi.amplitudes.conj())
-    # symmetrize away the last-bit rounding so the hermitian flag validates
-    mat = 0.5 * (mat + mat.conj().T)
+    amps, bra = phi.amplitudes, phi.amplitudes.conj()
+    mat = np.empty((phi.dim, phi.dim), dtype=complex)
+    for rows in row_blocks(phi.dim):
+        # symmetrize away the last-bit rounding so the hermitian flag validates
+        mat[rows] = 0.5 * (np.outer(amps[rows], bra) + np.outer(amps, bra[rows]).conj().T)
     return DenseOperator(phi.dim, mat, hermitian=True, factors=(phi.amplitudes[:, None],) * 2)
 
 
@@ -240,14 +261,17 @@ def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
     _check_qubit_count(n_qubits)
     dim = 2**n_qubits
     mat = np.zeros((dim, dim), dtype=complex)
+    listed = set()
     for row, col, value in nonzero_entries:
         if not (0 <= row < dim and 0 <= col < dim):
             raise DomainError(f"mask entry ({row}, {col}) outside [0, {dim})^2")
         mat[row, col] += value
-    dev = float(np.abs(mat - mat.conj().T).max())
+        listed.add(col)
+    dev = hermitian_deviation(mat)
     if dev > HERMITIAN_TOL:
         raise DomainError(f"derivative mask is not Hermitian: max |M - M^dag| = {dev}")
-    cols = np.flatnonzero(np.abs(mat).max(axis=0))
+    # only the listed columns can be nonzero; entries that cancel leave theirs empty
+    cols = np.array([col for col in sorted(listed) if mat[:, col].any()], dtype=int)
     return DenseOperator(dim, mat, hermitian=True, factors=(mat[:, cols], 1.0 * (np.arange(dim)[:, None] == cols)))
 
 

@@ -10,12 +10,14 @@ deliver inverse expectations and log-det gradients.
 Two realizations are provided. The operator form measures the register-
 weighted observable directly; the vector form carries the square-root
 weight on the state and reads the result from overlap probabilities.
-Both work from one Delta^eig = V^dag Delta V for kernel and diagnostics.
+Both work from one Delta^eig = V^dag Delta V = P Q^dag, carried as its
+N x r factors (P, Q), for kernel and diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -24,6 +26,7 @@ from .core import (
     HERMITIAN_TOL,
     DenseOperator,
     StateVector,
+    hermitian_deviation,
     projector_from_state,
     random_state,
     uniform_superposition,
@@ -37,7 +40,7 @@ from .phase_estimation import (
     register_weights,
 )
 from .rng import derive_seed, substream
-from .spectral import Spectrum, eigenbasis_ensemble, factored_commutator_norm, in_eigenbasis, spectral_commutator_norm, spectrum_of
+from .spectral import Spectrum, eigenbasis_block, eigenbasis_diagonal, eigenbasis_ensemble, eigenbasis_factors, factored_commutator_norm, spectral_commutator_norm, spectrum_of
 from .weights import WeightSpec
 
 INITIAL_STATE_KINDS = ("uniform", "haar", "phase-product", "explicit")
@@ -53,7 +56,7 @@ DEFAULT_BATCHES = 10
 
 _CHUNK = 1 << 15
 # byte budget of one block of evolved eigen-coefficients (N complex rows)
-_CHUNK_BYTES = 8 << 20
+_CHUNK_BYTES = 2 << 20
 # byte budget of a shot block's largest transient (r * max(N, 2^m) complex per step)
 _SHOT_BYTES = 1 << 20
 # steps per row of the phase table: one exponential per eigenvalue per this many steps
@@ -196,14 +199,15 @@ def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVect
     return random_state(n_qubits, seed, ensemble=init.kind)
 
 
-def _effective(spec: Spectrum, delta_eig: np.ndarray, w: WeightSpec, qpe: QpeConfig, amps: np.ndarray) -> np.ndarray:
-    """V^dag Delta_eff V: the rows of delta_eig weighted at the decoded bin
-    energies (exact binning: the one-hot rows of amps) or the true eigenvalues.
-    The diagonal ensemble reads only the diagonal and the blocks of degeneracy
-    groups, and within a group every row carries the same weight."""
+def _effective_weights(spec: Spectrum, w: WeightSpec, qpe: QpeConfig, amps: np.ndarray) -> np.ndarray:
+    """Row weights of Delta_eff^eig = diag(weights) Delta^eig: the weight at the
+    decoded bin energies (exact binning: the one-hot rows of amps) or at the
+    true eigenvalues. Delta_eff is never formed: the diagonal ensemble reads
+    only the weighted diagonal and the blocks of degeneracy groups, and within
+    a group every row carries the same weight."""
     binned = qpe.mode == "exact-binning"
     energies = energy_table(qpe)[np.abs(amps).argmax(axis=1)] if binned else spec.eigenvalues
-    return delta_eig * w.evaluate(energies, spec.spectral_range)[:, None]
+    return w.evaluate(energies, spec.spectral_range)
 
 
 def _chunk_columns(dim: int) -> int:
@@ -238,19 +242,29 @@ def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: 
             yield (offsets[:, :, None] * table[:, None, :]).reshape(eigenvalues.size, -1)[:, lo:hi]
 
 
-def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, amps=None) -> np.ndarray:
+def _exact_series(spec: Spectrum, left: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, amps=None, right=None, table=None) -> np.ndarray:
     """Per-step c(t_j)^dag G c(t_j) = sum_k c_k^dag G_kk c_k over register bins k.
 
+    G is left right^dag (left itself when right is None), its bin block k
+    times table[k] when a table is given: exact binning's G_qp = w_k
+    Delta^eig_qp = w_k (P Q^dag)_qp on bin k, built one bin block at a time.
     Rows of amps that are all one-hot (exact binning) make G_qp vanish unless
     q and p share a bin; dense circuit rows, or no amps, make one bin. Sorted
     by bin once, each bin's rows c_k of a block of evolved coefficients are a
-    view: G_kk c_k, then a column dot with c_k conjugated in place.
+    view: G_kk c_k, then a column dot with c_k conjugated in place. Each block
+    of evolved coefficients is dropped before the next one is built.
     """
     one_hot = amps is not None and np.all(np.count_nonzero(amps, axis=1) == 1)
     bins = np.abs(amps).argmax(axis=1) if one_hot else np.zeros(spec.dim, int)
     order = np.argsort(bins, kind="stable")
     splits = np.flatnonzero(np.diff(bins[order])) + 1
-    blocks = [g_eig[np.ix_(idx, idx)] for idx in np.split(order, splits)]
+
+    def block(idx):
+        # one bin is all of G in its own order, taken without a copy
+        g = eigenbasis_block(left, right, idx) if splits.size else left if right is None else left @ right.conj().T
+        return g if table is None else table[bins[idx[0]]] * g
+
+    blocks = [block(idx) for idx in np.split(order, splits)]
     series = np.zeros(num_steps)
     start = 0
     for c in _evolved(spec.eigenvalues[order], coeffs[order], dt, num_steps):
@@ -258,11 +272,13 @@ def _exact_series(spec: Spectrum, g_eig: np.ndarray, coeffs: np.ndarray, dt: flo
         start += c.shape[1]
         for g, ck in zip(blocks, np.split(c, splits)):
             total += np.einsum("qk,qk->k", g @ ck, np.conjugate(ck, out=ck)).real
+        del c, ck  # before _evolved builds the next block
     return series
 
 
-def _diagnose(series: np.ndarray, spec: Spectrum, eff_eig: np.ndarray, diag_target: float, comm: float) -> ThermalizationVerdict:
-    """Verdict from the series, Delta_eff^eig, its diagonal target and comm = max |[A, Delta_eff]|."""
+def _diagnose(series: np.ndarray, spec: Spectrum, eff: tuple, diag_target: float, comm: float) -> ThermalizationVerdict:
+    """Verdict from the series, Delta_eff^eig = diag(weights) P Q^dag given as
+    eff = (P, Q, weights), its diagonal target and comm = max |[A, Delta_eff]|."""
     rm = running_mean(series)
     plateau = float(rm[-1])
     mid = rm[rm.size // 2 - 1] if rm.size >= 2 else rm[-1]
@@ -270,7 +286,8 @@ def _diagnose(series: np.ndarray, spec: Spectrum, eff_eig: np.ndarray, diag_targ
     se = batch_means_standard_error(series)
     tol = max(5.0 * se, PLATEAU_TOL_FLOOR)
 
-    trace_target = float(np.real(np.trace(eff_eig))) / spec.dim
+    left, right, weights = eff
+    trace_target = float(np.real(np.sum(weights * eigenbasis_diagonal(left, right)))) / spec.dim
 
     trace_gap = abs(plateau - trace_target)
     diag_gap = abs(plateau - diag_target)
@@ -315,9 +332,9 @@ def thermalization_diagnostics(series, spec: Spectrum, delta: DenseOperator, r: 
     series = np.asarray(series, dtype=float)
     if series.size < 1:
         raise DomainError("diagnostics need a nonempty series")
-    delta_eig = in_eigenbasis(spec, delta)
-    diag_target = eigenbasis_ensemble(spec, delta_eig, r)
-    return _diagnose(series, spec, delta_eig, diag_target, spectral_commutator_norm(spec, delta))
+    left, right = eigenbasis_factors(spec, delta)
+    diag_target = eigenbasis_ensemble(spec, left, r, right)
+    return _diagnose(series, spec, (left, right, 1.0), diag_target, spectral_commutator_norm(spec, delta))
 
 
 def swap_test_estimate(a: StateVector, b: StateVector, shots: int, seed: int) -> float:
@@ -352,7 +369,7 @@ def _shot_outcomes(spec, delta, table, amps):
     the value d_i w_k with probability |sum_p <u_i|p> c_p a_p[k]|^2, and last
     the value 0 with the remaining probability, clipped at 0.
     """
-    if not delta.hermitian and np.abs(delta.entries - delta.entries.conj().T).max() > HERMITIAN_TOL:
+    if not delta.hermitian and hermitian_deviation(delta.entries) > HERMITIAN_TOL:
         raise ConfigError("shot sampling requires a Hermitian observable")
     left, right = delta.factors or (delta.entries, None)
     if right is None:
@@ -379,12 +396,13 @@ def _shot_outcomes(spec, delta, table, amps):
     return np.append(np.outer(d, table).ravel(), 0.0), probabilities
 
 
-def _time_average(spec: Spectrum, eth: EthConfig, eff_eig: np.ndarray, draw, commutator) -> EthEstimate:
+def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) -> EthEstimate:
     """The repetition loop both forms share.
 
     Per repetition: resolve the initial state r, take c = V^dag r, sample the
     series with draw(rep, c) -> (samples, register residual) and record the
-    diagonal ensemble of Delta_eff^eig. The concatenated series then gets its
+    diagonal ensemble of Delta_eff^eig = diag(weights) P Q^dag, given as
+    eff = (P, Q, weights). The concatenated series then gets its
     running mean, SE and verdict; commutator() is called once, after the series.
     """
     all_samples = []
@@ -397,11 +415,11 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff_eig: np.ndarray, draw, com
         samples, residual = draw(rep, spec.coefficients(r.amplitudes))
         all_samples.append(samples)
         residuals.append(residual)
-        diag_targets.append(eigenbasis_ensemble(spec, eff_eig, r))
+        diag_targets.append(eigenbasis_ensemble(spec, eff[0], r, *eff[1:]))
 
     series = np.concatenate(all_samples)
     rm = running_mean(series)
-    verdict = _diagnose(series, spec, eff_eig, float(np.mean(diag_targets)), commutator())
+    verdict = _diagnose(series, spec, eff, float(np.mean(diag_targets)), commutator())
     steps = eth.repetitions * eth.num_steps
     shots = eth.shots * steps if eth.sampling == "shots" else 0
     return EthEstimate(
@@ -425,21 +443,25 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     its eigenbasis with the configured budget per step.
     """
     spec = spectrum_of(a)
-    delta_eig = in_eigenbasis(spec, delta)
+    left, right = eigenbasis_factors(spec, delta)
     amps = register_amplitudes(spec, qpe)
     table = reached_weight_table(amps, qpe, w)
     if np.any(np.imag(table) != 0):
         raise ConfigError("operator form requires real weights on every register bin it reaches")
     table = table.real
-    # <q,0| E^dag (delta x W) E |p,0> = delta_qp * sum_k conj(a_q[k]) w_k a_p[k]
-    g_eig = delta_eig * ((amps.conj() * table) @ amps.T)
-    eff_eig = _effective(spec, delta_eig, w, qpe, amps)
     if eth.sampling == "shots":
         values, probabilities = _shot_outcomes(spec, delta, table, amps)
+    elif qpe.mode == "exact-binning":
+        # one-hot rows: G_qp = w_k Delta^eig_qp when q and p share bin k, else 0
+        exact_series = partial(_exact_series, spec, left, amps=amps, right=right, table=table)
+    else:
+        # <q,0| E^dag (delta x W) E |p,0> = delta_qp * sum_k conj(a_q[k]) w_k a_p[k], one dense G
+        delta_eig = left if right is None else left @ right.conj().T
+        exact_series = partial(_exact_series, spec, delta_eig * ((amps.conj() * table) @ amps.T), amps=amps)
 
     def draw(rep, coeffs):
         if eth.sampling == "exact":
-            return _exact_series(spec, g_eig, coeffs, eth.dt, eth.num_steps, amps), 0.0
+            return exact_series(coeffs, eth.dt, eth.num_steps), 0.0
         # one generator per repetition, drawn in step order: the series is the
         # same for any block width and a prefix of any longer run's
         rng = substream(eth.seed, "shots", rep)
@@ -449,10 +471,11 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
         width = max(1, _SHOT_BYTES // (16 * rank * max(spec.dim, table.size)))
         blocks = _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps, width)
         # a row sum, not counts @ values, whose rounding depends on the block height
-        totals = [(rng.multinomial(eth.shots, probabilities(c)) * values).sum(axis=1) for c in blocks]
-        return np.concatenate(totals) / eth.shots, 0.0
+        totals = map(lambda c: (rng.multinomial(eth.shots, probabilities(c)) * values).sum(axis=1), blocks)
+        return np.concatenate(list(totals)) / eth.shots, 0.0
 
-    return _time_average(spec, eth, eff_eig, draw, lambda: spectral_commutator_norm(spec, delta))
+    eff = (left, right, _effective_weights(spec, w, qpe, amps))
+    return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, delta))
 
 
 def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, policy: str = "reject") -> EthEstimate:
@@ -471,8 +494,8 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
     amps = register_amplitudes(spec, qpe)
     prob = np.abs(amps) ** 2
     b = spec.coefficients(phi.amplitudes)
-    # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag
-    eff_eig = _effective(spec, np.outer(b, b.conj()), w, qpe, amps)
+    # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag: P = Q = b
+    eff = (b[:, None], b[:, None], _effective_weights(spec, w, qpe, amps))
 
     def draw(rep, coeffs):
         # Bin occupancies do not depend on t. After entangling, weighting the
@@ -481,14 +504,14 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
         s, norm_factor = register_weights(np.abs(coeffs) ** 2 @ prob, qpe, w, power="half")
         gamma = prob @ s
         u = b.conj() * gamma
-        samples = np.concatenate([np.abs(u @ c) ** 2 for c in _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps)])
+        samples = np.concatenate(list(map(lambda c: np.abs(u @ c) ** 2, _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps))))
         kept = float(np.sum(np.abs(gamma * coeffs) ** 2))  # (norm_factor * slice norm)^2
         if eth.sampling == "shots":
             samples = kept * _swap_test_draw(samples / kept, eth.shots, substream(eth.seed, "shots", rep))
         return samples, max(0.0, 1.0 - kept / norm_factor**2)
 
     factor = phi.amplitudes[:, None]
-    return _time_average(spec, eth, eff_eig, draw, lambda: factored_commutator_norm(spec, factor, factor))
+    return _time_average(spec, eth, eff, draw, lambda: factored_commutator_norm(spec, factor, factor))
 
 
 @dataclass(frozen=True)

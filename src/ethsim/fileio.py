@@ -97,11 +97,23 @@ def series_csv_text(dt: float, series, running_mean_col, running_se_col) -> str:
 
 
 def series_json_text(dt: float, series, running_mean_col, running_se_col) -> str:
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n" for the
+    payload {"columns", "rows", "schema_version"}, with the rows formatted
+    _CSV_ROWS at a time as the CSV writer does: json writes a finite float as
+    its repr, and nan, inf and -inf as NaN, Infinity and -Infinity."""
     dt = float(dt)
-    xs, ms, ses = (np.asarray(col, dtype=float).tolist() for col in (series, running_mean_col, running_se_col))
-    rows = [[j, j * dt, x, m, se] for j, x, m, se in zip(range(1, len(xs) + 1), xs, ms, ses)]
-    payload = {"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": rows}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
+    empty = json.dumps({"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": []}, indent=2, sort_keys=True)
+    head, tail = empty.split("[]")
+    parts = [head, "[\n" if cols[0].size else "[]"]
+    for lo in range(0, cols[0].size, _CSV_ROWS):
+        xs, ms, ses = (col[lo : lo + _CSV_ROWS].tolist() for col in cols)
+        steps = range(lo + 1, lo + 1 + len(xs))
+        text = ",\n".join([f"    [\n      {j},\n      {j * dt!r},\n      {x!r},\n      {m!r},\n      {se!r}\n    ]" for j, x, m, se in zip(steps, xs, ms, ses)])
+        # only a non-finite repr has letters n, a, i, f: "-inf" becomes "-Infinity"
+        parts.append((",\n" if lo else "") + text.replace("nan", "NaN").replace("inf", "Infinity"))
+    parts.append("\n  ]" if cols[0].size else "")
+    return "".join(parts + [tail, "\n"])
 
 
 def write_series(path, fmt: str, dt: float, series, running_mean_col, running_se_col) -> Path:

@@ -97,7 +97,15 @@ def register_indices(spec: Spectrum, config: QpeConfig) -> np.ndarray:
     distinct degeneracy groups still share a bin the collision is reported
     through one PhaseCollisionWarning per call, never silently absorbed.
     """
-    indices = np.array([phase_map(config, e) for e in spec.eigenvalues], dtype=int)
+    # phase_map over the whole spectrum in one array expression, with its error for the first bad energy
+    phi = (spec.eigenvalues - config.shift) * config.scale
+    outside = ~((0.0 <= phi) & (phi < 1.0))
+    if outside.any():
+        first = int(np.argmax(outside))
+        raise ConfigError(
+            f"phase {phi[first]} for energy {spec.eigenvalues[first]} lies outside [0, 1); adjust shift/scale"
+        )
+    indices = np.round(phi * config.register_size).astype(int) % config.register_size
     owner = {}  # bin -> first degeneracy group mapped to it
     colliding = []
     for gi, group in enumerate(spec.degeneracy_groups):

@@ -119,7 +119,8 @@ def _execute_single(config: ExperimentConfig) -> ExecutionResult:
     elif config.target == "logdet-gradient":
         delta = build_delta(config, n_qubits)
         result = logdet_gradient_result(spec, delta, config.eth, config.qpe)
-        oracle_value = logdet_gradient_oracle(spec, delta)
+        # the finite-difference check reads the run's own A
+        oracle_value = logdet_gradient_oracle(a, delta, spec)
     else:
         raise ConfigError(f"unknown target {config.target!r}")
     wall = time.perf_counter() - start

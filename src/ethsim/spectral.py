@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DenseOperator, HERMITIAN_TOL, StateVector
+from .core import DenseOperator, HERMITIAN_TOL, StateVector, hermitian_deviation, row_blocks
 from .errors import DomainError, SingularityError
 from .weights import WeightSpec
 
@@ -90,26 +90,46 @@ def spectrum_of(a: DenseOperator | Spectrum) -> Spectrum:
     return a if isinstance(a, Spectrum) else eigendecompose(a)
 
 
-def in_eigenbasis(spec: Spectrum, delta: DenseOperator) -> np.ndarray:
-    """Delta^eig = V^dag Delta V, the operator's matrix in A's eigenbasis, as
-    (V^dag L)(V^dag R)^dag in O(N^2 r). Without factors Delta is (entries, I)."""
+def eigenbasis_factors(spec: Spectrum, delta: DenseOperator) -> tuple:
+    """(P, Q) = (V^dag L, V^dag R), two N x r arrays with Delta^eig = V^dag Delta V = P Q^dag,
+    in O(N^2 r). Without factors Delta is (entries, I), and P is the one N x N V^dag Delta V
+    with Q = None."""
     if delta.dim != spec.dim:
         raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
     left, right = delta.factors or (delta.entries, None)
-    return spec.coefficients(left) @ (spec.eigenvectors if right is None else spec.coefficients(right).conj().T)
+    p = spec.coefficients(left)
+    return (p @ spec.eigenvectors, None) if right is None else (p, spec.coefficients(right))
 
 
-def eigenbasis_ensemble(spec: Spectrum, delta_eig: np.ndarray, r: StateVector) -> float:
-    """Diagonal ensemble of r from Delta^eig: the sum over degeneracy groups G
-    of c_G^dag Delta^eig_GG c_G, where c = V^dag r. Singleton groups add up
-    in one sum; only groups of two or more take a block product each."""
+def in_eigenbasis(spec: Spectrum, delta: DenseOperator) -> np.ndarray:
+    """Delta^eig = V^dag Delta V, the operator's matrix in A's eigenbasis, as an N x N array."""
+    p, q = eigenbasis_factors(spec, delta)
+    return p if q is None else p @ q.conj().T
+
+
+def eigenbasis_diagonal(p: np.ndarray, q: Optional[np.ndarray]) -> np.ndarray:
+    """diag(P Q^dag) in O(N r), or P's own diagonal when Q is None."""
+    return np.diagonal(p) if q is None else np.einsum("pi,pi->p", p, q.conj())
+
+
+def eigenbasis_block(p: np.ndarray, q: Optional[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """The rows and columns idx of P Q^dag (of P when Q is None)."""
+    return p[np.ix_(idx, idx)] if q is None else p[idx] @ q[idx].conj().T
+
+
+def eigenbasis_ensemble(spec: Spectrum, delta_eig: np.ndarray, r: StateVector, right: Optional[np.ndarray] = None, weights=1.0) -> float:
+    """Diagonal ensemble of r from Delta^eig = P Q^dag (P itself when right is
+    None) with row p multiplied by weights[p]: the sum over degeneracy groups G
+    of c_G^dag diag(weights_G) Delta^eig_GG c_G, where c = V^dag r. Singleton
+    groups add up in one sum; only groups of two or more take a block product each."""
     if r.dim != spec.dim:
         raise DomainError(f"dimension mismatch: spectrum {spec.dim}, state {r.dim}")
     coeffs = spec.coefficients(r.amplitudes)
+    bra = coeffs.conj() * weights
     singles = [group[0] for group in spec.degeneracy_groups if len(group) == 1]
-    total = np.abs(coeffs[singles]) ** 2 @ np.diagonal(delta_eig)[singles]
+    total = np.abs(coeffs[singles]) ** 2 @ (weights * eigenbasis_diagonal(delta_eig, right))[singles]
     for idx in (np.array(group) for group in spec.degeneracy_groups if len(group) > 1):
-        total += coeffs[idx].conj() @ delta_eig[np.ix_(idx, idx)] @ coeffs[idx]
+        total += bra[idx] @ eigenbasis_block(delta_eig, right, idx) @ coeffs[idx]
     return float(np.real(total))
 
 
@@ -118,17 +138,23 @@ def spectral_commutator_norm(spec: Spectrum, delta: DenseOperator) -> float:
     a Hermitian Delta = L R^dag: X - X^dag with X = A Delta = V (E * V^dag L) R^dag,
     in O(N^2 r). A Delta_eff that differs from Delta only on the eigenbasis
     diagonal has the same commutator, since that diagonal commutes with A."""
-    if not delta.hermitian and np.abs(delta.entries - delta.entries.conj().T).max() > HERMITIAN_TOL:
+    if not delta.hermitian and hermitian_deviation(delta.entries) > HERMITIAN_TOL:
         raise DomainError("the commutator norm from the spectrum needs a Hermitian observable")
     return factored_commutator_norm(spec, *(delta.factors or (delta.entries, None)))
 
 
 def factored_commutator_norm(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray]) -> float:
     """spectral_commutator_norm from the factors of a Hermitian Delta = L R^dag
-    alone (R = I when None), so no N x N Delta needs to be built for it."""
-    x = spec.eigenvectors @ (spec.eigenvalues[:, None] * spec.coefficients(left))
-    x = x if right is None else x @ right.conj().T
-    return float(np.abs(x - x.conj().T).max())
+    alone (R = I when None), so no N x N Delta needs to be built for it. With
+    Y = V (E * V^dag L), X = Y R^dag; each row block of X - X^dag is
+    Y_rows R^dag - R_rows Y^dag, so X itself is never formed."""
+    scaled = spec.coefficients(left)
+    scaled *= spec.eigenvalues[:, None]
+    y = spec.eigenvectors @ scaled
+    if right is None:
+        return hermitian_deviation(y)
+    y_h, right_h = y.conj().T, right.conj().T
+    return float(np.max([np.abs(y[rows] @ right_h - right[rows] @ y_h).max() for rows in row_blocks(spec.dim)]))
 
 
 def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:
@@ -145,7 +171,7 @@ def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:
 def trace_weighted(spec: Spectrum, delta: DenseOperator, f: WeightSpec) -> float:
     """sum_p f(E_p) <p|Delta|p>, i.e. Tr(f(A) Delta), evaluated exactly."""
     values = f.evaluate(spec.eigenvalues, spec.spectral_range)
-    return float(np.real(np.sum(values * np.diag(in_eigenbasis(spec, delta)))))
+    return float(np.real(np.sum(values * eigenbasis_diagonal(*eigenbasis_factors(spec, delta)))))
 
 
 def diagonal_ensemble(spec: Spectrum, delta: DenseOperator, r: StateVector) -> float:
@@ -154,34 +180,46 @@ def diagonal_ensemble(spec: Spectrum, delta: DenseOperator, r: StateVector) -> f
     Equals sum over degeneracy groups G of <r| P_G Delta P_G |r>; for a
     nondegenerate spectrum this is sum_p |c_p|^2 <p|Delta|p>.
     """
-    return eigenbasis_ensemble(spec, in_eigenbasis(spec, delta), r)
+    p, q = eigenbasis_factors(spec, delta)
+    return eigenbasis_ensemble(spec, p, r, q)
 
 
-def logdet_gradient_oracle(a: DenseOperator | Spectrum, delta: DenseOperator) -> float:
+def _logdet_curvature(inverse: np.ndarray, p: np.ndarray, q: Optional[np.ndarray]) -> float:
+    """|Tr((A^{-1} Delta)^2)| for a Hermitian Delta^eig = P Q^dag (P itself when
+    Q is None), inverse = 1/E: sum_pq |Delta^eig_pq|^2 / (E_p E_q), which is
+    tr((P^dag D P)(Q^dag D Q)) with D = diag(1/E) since P Q^dag = Q P^dag, in O(N r^2)."""
+    if q is None:
+        return float(abs(inverse @ np.abs(p) ** 2 @ inverse))
+    return float(abs(np.trace(((p.conj().T * inverse) @ p) @ ((q.conj().T * inverse) @ q))))
+
+
+def logdet_gradient_oracle(a: DenseOperator | Spectrum, delta: DenseOperator, spec: Optional[Spectrum] = None) -> float:
     """Tr(A^{-1} Delta), the derivative of ln |det A| along Delta.
 
-    Computed spectrally and cross-checked against a forward difference of
-    ln |det (A + h Delta)| at h = 1e-6, A = V diag(E) V^dag. The two must agree
-    to O(h) with a curvature-aware allowance; disagreement means the spectrum
-    is too close to singular for the oracle to be trusted, and raises.
+    Computed spectrally from spec (the eigendecomposition of a when not
+    given) and cross-checked against a forward difference of
+    ln |det (A + h Delta)| at h = 1e-6, on a's own entries (V diag(E) V^dag
+    when a is a Spectrum). The two must agree to O(h) with a curvature-aware
+    allowance; disagreement means the spectrum is too close to singular for
+    the oracle to be trusted, and raises.
     """
-    spec = spectrum_of(a)
+    spec = spec or spectrum_of(a)
     inverse = WeightSpec(kind="inverse", policy="reject").evaluate(spec.eigenvalues, spec.spectral_range)
-    delta_eig = in_eigenbasis(spec, delta)
-    value = float(np.real(inverse @ np.diag(delta_eig)))
+    p, q = eigenbasis_factors(spec, delta)
+    value = float(np.real(inverse @ eigenbasis_diagonal(p, q)))
 
     h = 1e-6
-    mat = spec.operator()
+    mat = spec.operator() if isinstance(a, Spectrum) else a.entries
     sign0, logdet0 = np.linalg.slogdet(mat)
-    sign1, logdet1 = np.linalg.slogdet(mat + h * delta.entries)
+    shifted = h * delta.entries  # A + h Delta, in one buffer
+    shifted += mat
+    sign1, logdet1 = np.linalg.slogdet(shifted)
     if sign0 == 0 or sign1 == 0:
         raise SingularityError("determinant vanished inside the finite-difference check")
     fd = (logdet1 - logdet0) / h
 
-    # forward-difference truncation is (h/2) Tr((A^{-1} Delta)^2) to leading order,
-    # which is sum_pq |Delta^eig_pq|^2 / (E_p E_q) for Hermitian Delta
-    curvature = float(abs(inverse @ np.abs(delta_eig) ** 2 @ inverse))
-    tol = 5.0 * h * curvature + 1e-8 * (1.0 + abs(value))
+    # forward-difference truncation is (h/2) Tr((A^{-1} Delta)^2) to leading order
+    tol = 5.0 * h * _logdet_curvature(inverse, p, q) + 1e-8 * (1.0 + abs(value))
     if abs(value - fd) > tol:
         raise SingularityError(
             f"log-det gradient cross-check failed: spectral {value} vs finite difference {fd} "

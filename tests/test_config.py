@@ -103,8 +103,7 @@ class TestFromDict:
             from_dict(data)
 
     def test_problem_names_a_preset_only_by_preset(self):
-        data = self.base()
-        data["problem"] = {"kind": "preset", "preset": "inverse-2q"}
+        data = {"name": "x", "problem": {"kind": "preset", "preset": "inverse-2q"}}
         assert from_dict(data).problem.preset == "inverse-2q"
         data["problem"] = {"kind": "preset", "name": "inverse-2q"}
         with pytest.raises(ConfigError, match="'problem.name': unknown field"):
@@ -147,6 +146,23 @@ class TestFromDict:
             del data[key]
             with pytest.raises(ConfigError, match=f"'{key}': missing required key"):
                 from_dict(data)
+
+    @pytest.mark.parametrize("key,value", [("seed", 5), ("target", "logdet-gradient"), ("qpe", {"m": 3}), ("eth", None), ("sweep", None)])
+    def test_a_preset_reference_rejects_every_other_root_key(self, tmp_path, capsys, key, value):
+        data = {"name": "mine", key: value, "problem": {"kind": "preset", "preset": "inverse-2q"}}
+        with pytest.raises(ConfigError, match=f"field '{key}': a preset reference takes only name, problem and outputs"):
+            from_dict(data)
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert f"field '{key}': a preset reference" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_series.csv"))
+
+    def test_a_preset_reference_echoes_only_its_own_keys(self):
+        data = {"name": "x", "problem": {"kind": "preset", "preset": "inverse-2q"}, "outputs": {"format": "json"}}
+        echo = from_dict(data).to_dict()
+        assert list(echo) == ["name", "problem", "outputs"]
+        assert echo["outputs"]["format"] == "json"
 
     def test_a_preset_reference_runs_the_preset(self, tmp_path, capsys):
         path = tmp_path / "ref.json"
@@ -466,6 +482,17 @@ class TestSeriesFiles:
         assert series_csv_text(dt, series, rm, se) == csv
         payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": [list(r) for r in rows]}
         assert series_json_text(dt, series, rm, se) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    def test_json_bytes_match_json_dumps_on_non_finite_and_empty_columns(self, monkeypatch, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(fileio, "_CSV_ROWS", block_rows)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22, 4.0, -1e-7])
+        for n in (0, 1, 5, 8):
+            cols = (special[:n], special[::-1][:n], np.roll(special, 3)[:n])
+            rows = [list(r) for r in self.element_rows(0.5, *cols)]
+            payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": rows}
+            assert series_json_text(0.5, *cols) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_write_series_both_formats(self, tmp_path):
         p_csv = write_series(tmp_path / "s.csv", "csv", 0.1, self.SERIES, self.RM, self.SE)

@@ -416,9 +416,9 @@ class TestSingularRegisterBins:
 class TestChunkBudget:
     def test_block_bytes_stay_within_the_budget(self):
         assert _chunk_columns(2) == _CHUNK
-        assert _chunk_columns(1024) == 512
-        assert 16 * 1024 * _chunk_columns(1024) == _CHUNK_BYTES == 8 * 2**20
-        assert _chunk_columns(2**MAX_QUBITS) == 32
+        assert _chunk_columns(1024) == 128
+        assert 16 * 1024 * _chunk_columns(1024) == _CHUNK_BYTES == 2 * 2**20
+        assert _chunk_columns(2**MAX_QUBITS) == 8
         for n in range(1, MAX_QUBITS + 1):
             assert 16 * 2**n * _chunk_columns(2**n) <= _CHUNK_BYTES
 

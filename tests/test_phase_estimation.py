@@ -13,6 +13,7 @@ from ethsim import (
     PhaseCollisionWarning,
     QpeConfig,
     SingularityError,
+    Spectrum,
     StateVector,
     WeightSpec,
     WeightedJointState,
@@ -77,6 +78,31 @@ class TestPhaseMap:
 
     def test_register_indices_dyadic(self):
         np.testing.assert_array_equal(register_indices(DYADIC_2Q, DYADIC_QPE), [1, 2, 3, 4])
+
+    @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_register_indices_match_the_scalar_phase_map(self, seed):
+        """One array expression, bit-identical to phase_map per eigenvalue,
+        with phase_map's error for the first energy outside the register."""
+        rng = np.random.default_rng(seed)
+        for m in (1, 3, 6):
+            shift, scale = rng.normal(), rng.uniform(0.2, 3.0)
+            # bin centres, half-bin ties and random points, some just outside [0, 1)
+            phases = np.concatenate([np.arange(2**m) / 2**m, (np.arange(2**m) + 0.5) / 2**m, rng.uniform(0.0, 1.0, 40)])
+            for lo, hi in ((0.0, 1.0), (-0.2, 1.0), (0.0, 1.3)):
+                energies = np.sort(shift + np.clip(phases * (hi - lo) + lo, lo, hi) / scale)
+                spec = Spectrum(energies, np.eye(energies.size), tuple((i,) for i in range(energies.size)))
+                config = QpeConfig(m=m, shift=shift, scale=scale)
+                try:
+                    want = np.array([phase_map(config, e) for e in spec.eigenvalues], dtype=int)
+                except ConfigError as exc:
+                    with pytest.raises(ConfigError) as err:
+                        register_indices(spec, config)
+                    assert str(err.value) == str(exc)
+                    continue
+                got = register_indices(spec, config)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_collision_warns(self):
         config = QpeConfig(m=1, shift=-1.0, scale=0.05)

@@ -84,3 +84,26 @@ def test_readme_library_use_names_are_exported():
         assert name in ethsim.__all__, name
         if module is not None:
             assert getattr(ethsim, name) is getattr(sys.modules[module], name), name
+
+
+def test_readme_block_budgets_equal_the_module_constants():
+    """Each block budget the README states, by name and in its prose, is the
+    module constant's value, so a changed budget cannot leave stale text."""
+    readme = (ROOT / "README.md").read_text()
+    constants = {
+        "_CHUNK_BYTES": ethsim.estimators._CHUNK_BYTES,
+        "_SHOT_BYTES": ethsim.estimators._SHOT_BYTES,
+        "_ROW_BYTES": ethsim.core._ROW_BYTES,
+    }
+    units = {"KiB": 2**10, "MiB": 2**20}
+    named = re.findall(r"(\d+)\s+(KiB|MiB),?\s+\(?`(_[A-Z]+_BYTES)`", readme)
+    assert sorted(name for _, _, name in named) == sorted(constants)
+    for value, unit, name in named:
+        assert int(value) * units[unit] == constants[name], name
+    prose = {
+        "_CHUNK_BYTES": r"at most (\d+) MiB of evolved coefficients",
+        "_SHOT_BYTES": r"per step, to at most (\d+) MiB",
+    }
+    for name, pattern in prose.items():
+        values = re.findall(pattern, " ".join(readme.split()))
+        assert values and all(int(v) * 2**20 == constants[name] for v in values), name
