@@ -49,6 +49,10 @@ def hermitian_deviation(mat: np.ndarray) -> float:
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
+    """values itself when it is already a read-only ndarray of dtype, else a
+    read-only copy, so a caller that keeps a writeable array cannot change it."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -88,7 +92,9 @@ class DenseOperator:
     """Dense square operator with a validated hermitian flag and, when its
     builder knows them, factors (L, R): two N x r arrays with entries = L R^dag.
     hermitian=None sets the flag from the same scan that validates a True one:
-    max |M - M^dag| <= HERMITIAN_TOL. Both checks run in row blocks."""
+    max |M - M^dag| <= HERMITIAN_TOL. Both checks run in row blocks. Entries
+    and factors are copied unless the caller has already made them read-only
+    arrays of complex dtype, which are kept as given."""
 
     dim: int
     entries: np.ndarray
@@ -219,6 +225,7 @@ def projector_from_state(phi: StateVector) -> DenseOperator:
     for rows in row_blocks(phi.dim):
         # symmetrize away the last-bit rounding so the hermitian flag validates
         mat[rows] = 0.5 * (np.outer(amps[rows], bra) + np.outer(amps, bra[rows]).conj().T)
+    mat.setflags(write=False)  # handed over, not copied
     return DenseOperator(phi.dim, mat, hermitian=True, factors=(phi.amplitudes[:, None],) * 2)
 
 
@@ -272,6 +279,7 @@ def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
         raise DomainError(f"derivative mask is not Hermitian: max |M - M^dag| = {dev}")
     # only the listed columns can be nonzero; entries that cancel leave theirs empty
     cols = np.array([col for col in sorted(listed) if mat[:, col].any()], dtype=int)
+    mat.setflags(write=False)  # handed over, not copied
     return DenseOperator(dim, mat, hermitian=True, factors=(mat[:, cols], 1.0 * (np.arange(dim)[:, None] == cols)))
 
 

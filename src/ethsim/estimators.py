@@ -162,19 +162,34 @@ class EthEstimate:
 
 def running_mean(series: np.ndarray) -> np.ndarray:
     series = np.asarray(series, dtype=float)
-    return np.cumsum(series) / np.arange(1, series.size + 1)
+    out = np.cumsum(series)
+    out /= np.arange(1, series.size + 1)
+    return out
 
 
 def running_standard_error(series: np.ndarray) -> np.ndarray:
-    """Naive running SE of the mean (sample std / sqrt(count)); first entry 0."""
+    """Naive running SE of the mean (sample std / sqrt(count)); first entry 0.
+
+    In place over two K-length buffers beside the counts n, in the order of
+    sqrt(where(n > 1, max(cumsum(x^2)/n - (cumsum(x)/n)^2, 0) * n / (n - 1), 0) / n),
+    so the result is bit-identical to that whole-array expression."""
     series = np.asarray(series, dtype=float)
     n = np.arange(1, series.size + 1, dtype=float)
-    mean = np.cumsum(series) / n
-    mean_sq = np.cumsum(series**2) / n
-    var = np.maximum(mean_sq - mean**2, 0.0)
+    out = np.square(series)
+    np.cumsum(out, out=out)
+    out /= n
+    mean = np.cumsum(series)
+    mean /= n
+    np.square(mean, out=mean)
+    out -= mean
+    np.maximum(out, 0.0, out=out)
+    out *= n
+    np.subtract(n, 1.0, out=mean)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unbiased = np.where(n > 1, var * n / (n - 1.0), 0.0)
-    return np.sqrt(unbiased / n)
+        out /= mean
+    out[:1] = 0.0
+    out /= n
+    return np.sqrt(out, out=out)
 
 
 def batch_means_standard_error(series: np.ndarray, n_batches: int = DEFAULT_BATCHES) -> float:
@@ -276,14 +291,13 @@ def _exact_series(spec: Spectrum, left: np.ndarray, coeffs: np.ndarray, dt: floa
     return series
 
 
-def _diagnose(series: np.ndarray, spec: Spectrum, eff: tuple, diag_target: float, comm: float) -> ThermalizationVerdict:
-    """Verdict from the series, Delta_eff^eig = diag(weights) P Q^dag given as
-    eff = (P, Q, weights), its diagonal target and comm = max |[A, Delta_eff]|."""
-    rm = running_mean(series)
+def _diagnose(rm: np.ndarray, se: float, spec: Spectrum, eff: tuple, diag_target: float, comm: float) -> ThermalizationVerdict:
+    """Verdict from the series' running mean rm and batch-means SE, Delta_eff^eig
+    = diag(weights) P Q^dag given as eff = (P, Q, weights), its diagonal target
+    and comm = max |[A, Delta_eff]|."""
     plateau = float(rm[-1])
     mid = rm[rm.size // 2 - 1] if rm.size >= 2 else rm[-1]
     drift = abs(plateau - float(mid))
-    se = batch_means_standard_error(series)
     tol = max(5.0 * se, PLATEAU_TOL_FLOOR)
 
     left, right, weights = eff
@@ -334,7 +348,8 @@ def thermalization_diagnostics(series, spec: Spectrum, delta: DenseOperator, r: 
         raise DomainError("diagnostics need a nonempty series")
     left, right = eigenbasis_factors(spec, delta)
     diag_target = eigenbasis_ensemble(spec, left, r, right)
-    return _diagnose(series, spec, (left, right, 1.0), diag_target, spectral_commutator_norm(spec, delta))
+    comm = spectral_commutator_norm(spec, delta)
+    return _diagnose(running_mean(series), batch_means_standard_error(series), spec, (left, right, 1.0), diag_target, comm)
 
 
 def swap_test_estimate(a: StateVector, b: StateVector, shots: int, seed: int) -> float:
@@ -402,8 +417,9 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) 
     Per repetition: resolve the initial state r, take c = V^dag r, sample the
     series with draw(rep, c) -> (samples, register residual) and record the
     diagonal ensemble of Delta_eff^eig = diag(weights) P Q^dag, given as
-    eff = (P, Q, weights). The concatenated series then gets its
-    running mean, SE and verdict; commutator() is called once, after the series.
+    eff = (P, Q, weights). The concatenated series (one repetition's own
+    array, uncopied) then gets its running mean, SE and verdict; commutator()
+    is called once, after the series.
     """
     all_samples = []
     diag_targets = []
@@ -417,14 +433,16 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) 
         residuals.append(residual)
         diag_targets.append(eigenbasis_ensemble(spec, eff[0], r, *eff[1:]))
 
-    series = np.concatenate(all_samples)
+    series = all_samples[0] if len(all_samples) == 1 else np.concatenate(all_samples)
+    del all_samples  # several repetitions' pieces, before the K-length statistics
     rm = running_mean(series)
-    verdict = _diagnose(series, spec, eff, float(np.mean(diag_targets)), commutator())
+    se = batch_means_standard_error(series)
+    verdict = _diagnose(rm, se, spec, eff, float(np.mean(diag_targets)), commutator())
     steps = eth.repetitions * eth.num_steps
     shots = eth.shots * steps if eth.sampling == "shots" else 0
     return EthEstimate(
         estimate=float(rm[-1]),
-        standard_error=batch_means_standard_error(series),
+        standard_error=se,
         series=series,
         running_mean=rm,
         cost=CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots),

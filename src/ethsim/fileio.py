@@ -24,9 +24,11 @@ SERIES_COLUMNS = ("step", "t", "sample", "running_mean", "running_se")
 _CSV_ROWS = 1024
 
 
-def atomic_write_text(path, text: str) -> Path:
-    """Write via a sibling temp file and rename, so readers never see a
-    half-written file."""
+def atomic_write_text(path, text) -> Path:
+    """Write text, one str or an iterable of str blocks, via a sibling temp
+    file and rename, so readers never see a half-written file. The blocks
+    go through one writelines call, so an iterable is written as it is
+    produced and never joined; a block that raises leaves no temp file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # mode 0o666 leaves the permissions to the umask, as for any new file
@@ -34,7 +36,7 @@ def atomic_write_text(path, text: str) -> Path:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,50 +82,53 @@ def read_matrix_file(path) -> np.ndarray:
         raise ConfigError(f"matrix file {path}: {expect}, got {values.size} numbers in {len(values)} rows")
     if not np.isfinite(values).all():
         raise ConfigError(f"matrix file {path}: entries must be finite, found nan or inf")
-    return values.view(complex)  # each row holds re, im pairs
+    entries = values.view(complex)  # each row holds re, im pairs
+    entries.setflags(write=False)  # a fresh array, so an operator keeps it without a copy
+    return entries
 
 
-def series_csv_text(dt: float, series, running_mean_col, running_se_col) -> str:
-    """One f-string per row over tolist() columns, _CSV_ROWS rows at a time,
-    so only one block's Python floats and the finished text are held at once."""
+def series_csv_blocks(dt: float, series, running_mean_col, running_se_col):
+    """The CSV series file as str blocks: the header, then one block per
+    _CSV_ROWS rows, each one f-string per row over tolist() columns, so only
+    one block's Python floats and text are held at once."""
     dt = float(dt)
     cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
-    parts = [",".join(SERIES_COLUMNS) + "\n"]
+    yield ",".join(SERIES_COLUMNS) + "\n"
     for lo in range(0, cols[0].size, _CSV_ROWS):
         xs, ms, ses = (col[lo : lo + _CSV_ROWS].tolist() for col in cols)
         steps = range(lo + 1, lo + 1 + len(xs))
-        parts.append("".join([f"{j},{j * dt!r},{x!r},{m!r},{se!r}\n" for j, x, m, se in zip(steps, xs, ms, ses)]))
-    return "".join(parts)
+        yield "".join([f"{j},{j * dt!r},{x!r},{m!r},{se!r}\n" for j, x, m, se in zip(steps, xs, ms, ses)])
 
 
-def series_json_text(dt: float, series, running_mean_col, running_se_col) -> str:
+def series_json_blocks(dt: float, series, running_mean_col, running_se_col):
     """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n" for the
-    payload {"columns", "rows", "schema_version"}, with the rows formatted
-    _CSV_ROWS at a time as the CSV writer does: json writes a finite float as
-    its repr, and nan, inf and -inf as NaN, Infinity and -Infinity."""
+    payload {"columns", "rows", "schema_version"} as str blocks: the head, the
+    rows _CSV_ROWS at a time as the CSV writer formats them, then the tail.
+    json writes a finite float as its repr, and nan, inf and -inf as NaN,
+    Infinity and -Infinity."""
     dt = float(dt)
     cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
     empty = json.dumps({"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": []}, indent=2, sort_keys=True)
     head, tail = empty.split("[]")
-    parts = [head, "[\n" if cols[0].size else "[]"]
+    yield head + ("[\n" if cols[0].size else "[]")
     for lo in range(0, cols[0].size, _CSV_ROWS):
         xs, ms, ses = (col[lo : lo + _CSV_ROWS].tolist() for col in cols)
         steps = range(lo + 1, lo + 1 + len(xs))
         text = ",\n".join([f"    [\n      {j},\n      {j * dt!r},\n      {x!r},\n      {m!r},\n      {se!r}\n    ]" for j, x, m, se in zip(steps, xs, ms, ses)])
         # only a non-finite repr has letters n, a, i, f: "-inf" becomes "-Infinity"
-        parts.append((",\n" if lo else "") + text.replace("nan", "NaN").replace("inf", "Infinity"))
-    parts.append("\n  ]" if cols[0].size else "")
-    return "".join(parts + [tail, "\n"])
+        yield (",\n" if lo else "") + text.replace("nan", "NaN").replace("inf", "Infinity")
+    yield ("\n  ]" if cols[0].size else "") + tail + "\n"
 
 
 def write_series(path, fmt: str, dt: float, series, running_mean_col, running_se_col) -> Path:
+    """Stream the series file block by block into its atomic temp file."""
     if fmt == "csv":
-        text = series_csv_text(dt, series, running_mean_col, running_se_col)
+        blocks = series_csv_blocks(dt, series, running_mean_col, running_se_col)
     elif fmt == "json":
-        text = series_json_text(dt, series, running_mean_col, running_se_col)
+        blocks = series_json_blocks(dt, series, running_mean_col, running_se_col)
     else:
         raise ConfigError(f"unknown series format {fmt!r}")
-    return atomic_write_text(path, text)
+    return atomic_write_text(path, blocks)
 
 
 def write_summary(path, summary: dict) -> Path:

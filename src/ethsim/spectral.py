@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DenseOperator, HERMITIAN_TOL, StateVector, hermitian_deviation, row_blocks
+from .core import DenseOperator, HERMITIAN_TOL, StateVector, _frozen_array, hermitian_deviation, row_blocks
 from .errors import DomainError, SingularityError
 from .weights import WeightSpec
 
@@ -27,7 +27,9 @@ class Spectrum:
     eigenvalues are ascending; eigenvectors[:, p] belongs to eigenvalues[p].
     degeneracy_groups partitions eigenvalue indices into maximal runs closer
     than the resolution tolerance, so time averages can keep the cross terms
-    that never dephase.
+    that never dephase. The arrays are copied unless the caller has already
+    made them read-only (float eigenvalues, complex eigenvectors), in which
+    case they are kept as given.
     """
 
     eigenvalues: np.ndarray
@@ -35,12 +37,8 @@ class Spectrum:
     degeneracy_groups: tuple
 
     def __post_init__(self):
-        evals = np.array(self.eigenvalues, dtype=float)
-        evecs = np.array(self.eigenvectors, dtype=complex)
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", evals)
-        object.__setattr__(self, "eigenvectors", evecs)
+        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues, float))
+        object.__setattr__(self, "eigenvectors", _frozen_array(self.eigenvectors))
 
     @property
     def dim(self) -> int:
@@ -72,6 +70,9 @@ def eigendecompose(a: DenseOperator) -> Spectrum:
     if not a.hermitian:
         raise DomainError("eigendecompose requires an operator flagged Hermitian")
     evals, evecs = np.linalg.eigh(a.entries)
+    # eigh's fresh arrays, handed to Spectrum read-only so it keeps them without a copy
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
     degeneracy_tol = DEGENERACY_FRACTION * float(evals[-1] - evals[0])
     groups = []
     current = [0]

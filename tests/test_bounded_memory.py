@@ -20,7 +20,7 @@ from ethsim.core import (
 )
 from ethsim.errors import DomainError
 from ethsim.estimators import EthConfig, InitialState, run_operator_form, run_vector_form, thermalization_diagnostics
-from ethsim.fileio import write_matrix_file
+from ethsim.fileio import read_matrix_file, write_matrix_file
 from ethsim.phase_estimation import QpeConfig, energy_table, reached_weight_table, register_amplitudes
 from ethsim.runner import execute_experiment
 from ethsim.spectral import (
@@ -312,3 +312,76 @@ def test_a_dense_run_holds_a_v_delta_and_one_block(dense_inputs, target, form):
         tracemalloc.stop()
     assert result.reports[0].cost.time_steps == 2048
     assert peak - start <= 5 * 16 * dim**2 + estimators._CHUNK_BYTES + 2**20
+
+
+def _traced_units(call, dim):
+    """Traced peak of call() over the traced size at its start, in N x N complex arrays."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / (16 * dim**2)
+    finally:
+        tracemalloc.stop()
+
+
+class TestHandover:
+    """Builders hand their fresh arrays over read-only; a caller's writeable
+    array is copied, one it has made read-only is kept as given."""
+
+    def test_eigendecompose_holds_one_eigenvector_matrix(self):
+        rng = np.random.default_rng(4)
+        dim = 256
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = operator_from_matrix(m + m.conj().T)
+        assert _traced_units(lambda: eigendecompose(a), dim) <= 1.2
+
+    def test_operator_from_a_matrix_file_keeps_the_loaded_array(self, dense_inputs):
+        directory = dense_inputs[0]
+        dim = 2**DENSE_QUBITS
+        # the loaded N x N array and loadtxt's row transient; a copy would add a whole unit
+        assert _traced_units(lambda: operator_from_matrix(read_matrix_file(directory / "a.txt")), dim) <= 1.7
+        assert not read_matrix_file(directory / "a.txt").flags.writeable
+
+    def test_spectrum_copies_a_writeable_array(self):
+        evals, evecs = np.array([0.5, 1.5]), np.eye(2, dtype=complex)
+        spec = Spectrum(evals, evecs, ((0,), (1,)))
+        evals[0], evecs[0, 0] = 9.0, 9.0
+        assert spec.eigenvalues.tolist() == [0.5, 1.5]
+        assert spec.eigenvectors[0, 0] == 1.0
+        assert not spec.eigenvectors.flags.writeable
+
+    def test_spectrum_keeps_a_read_only_array(self):
+        evals, evecs = np.array([0.5, 1.5]), np.eye(2, dtype=complex)
+        for arr in (evals, evecs):
+            arr.setflags(write=False)
+        spec = Spectrum(evals, evecs, ((0,), (1,)))
+        assert spec.eigenvalues is evals and spec.eigenvectors is evecs
+
+    def test_operator_copies_writeable_entries_and_factors(self):
+        phi = np.array([0.6, 0.8], dtype=complex)
+        mat = np.outer(phi, phi.conj())
+        left = phi[:, None].copy()
+        op = DenseOperator(2, mat, hermitian=True, factors=(left, left))
+        mat[0, 0], left[0, 0] = 5.0, 5.0
+        assert op.entries[0, 0] == pytest.approx(0.36)
+        assert op.factors[0][0, 0] == 0.6
+        assert not op.entries.flags.writeable
+
+    def test_builders_hand_over_without_a_copy(self):
+        dim = 2**DENSE_QUBITS
+        phi = StateVector(DENSE_QUBITS, np.full(dim, dim**-0.5, dtype=complex))
+        builders = (
+            lambda: projector_from_state(phi),
+            lambda: derivative_mask(DENSE_QUBITS, [(0, 1, 0.5), (1, 0, 0.5), (3, 3, 1.0)]),
+        )
+        for build in builders:
+            assert not build().entries.flags.writeable
+            # the built matrix and its row-block transients; a copy would add a whole unit
+            assert _traced_units(build, dim) <= 2.0
+
+    def test_a_read_only_array_of_another_dtype_is_converted(self):
+        real = np.eye(4)
+        real.setflags(write=False)
+        assert DenseOperator(4, real).entries.dtype == complex
+        assert Spectrum(np.array([1, 2]), real[:2, :2], ((0,), (1,))).eigenvalues.dtype == float

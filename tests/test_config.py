@@ -29,8 +29,8 @@ from ethsim.fileio import (
     atomic_write_text,
     read_matrix_file,
     read_summary,
-    series_csv_text,
-    series_json_text,
+    series_csv_blocks,
+    series_json_blocks,
     write_matrix_file,
     write_series,
     write_summary,
@@ -437,7 +437,7 @@ class TestSeriesFiles:
     SE = np.array([0.0, 0.1, 0.05])
 
     def test_csv_layout(self):
-        text = series_csv_text(0.25, self.SERIES, self.RM, self.SE)
+        text = "".join(series_csv_blocks(0.25, self.SERIES, self.RM, self.SE))
         lines = text.splitlines()
         assert lines[0] == "step,t,sample,running_mean,running_se"
         assert lines[1].split(",")[0] == "1"
@@ -445,7 +445,7 @@ class TestSeriesFiles:
         assert len(lines) == 4
 
     def test_json_layout(self):
-        text = series_json_text(0.25, self.SERIES, self.RM, self.SE)
+        text = "".join(series_json_blocks(0.25, self.SERIES, self.RM, self.SE))
         data = json.loads(text)
         assert data["schema_version"] == 1
         assert data["columns"] == ["step", "t", "sample", "running_mean", "running_se"]
@@ -479,9 +479,9 @@ class TestSeriesFiles:
         dt = np.float64(0.01 * math.pi)
         rows = list(self.element_rows(dt, series, rm, se))
         csv = "\n".join(["step,t,sample,running_mean,running_se"] + [f"{a},{b!r},{c!r},{d!r},{e!r}" for a, b, c, d, e in rows]) + "\n"
-        assert series_csv_text(dt, series, rm, se) == csv
+        assert "".join(series_csv_blocks(dt, series, rm, se)) == csv
         payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": [list(r) for r in rows]}
-        assert series_json_text(dt, series, rm, se) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert "".join(series_json_blocks(dt, series, rm, se)) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("block_rows", [1, 3, None])
     def test_json_bytes_match_json_dumps_on_non_finite_and_empty_columns(self, monkeypatch, block_rows):
@@ -492,7 +492,7 @@ class TestSeriesFiles:
             cols = (special[:n], special[::-1][:n], np.roll(special, 3)[:n])
             rows = [list(r) for r in self.element_rows(0.5, *cols)]
             payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": rows}
-            assert series_json_text(0.5, *cols) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert "".join(series_json_blocks(0.5, *cols)) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_write_series_both_formats(self, tmp_path):
         p_csv = write_series(tmp_path / "s.csv", "csv", 0.1, self.SERIES, self.RM, self.SE)

@@ -87,8 +87,9 @@ def test_readme_library_use_names_are_exported():
 
 
 def test_readme_block_budgets_equal_the_module_constants():
-    """Each block budget the README states, by name and in its prose, is the
-    module constant's value, so a changed budget cannot leave stale text."""
+    """Each block budget the README states, by name and in its prose, and the
+    series writer's block height are the module constants' values, so a
+    changed budget cannot leave stale text."""
     readme = (ROOT / "README.md").read_text()
     constants = {
         "_CHUNK_BYTES": ethsim.estimators._CHUNK_BYTES,
@@ -107,3 +108,5 @@ def test_readme_block_budgets_equal_the_module_constants():
     for name, pattern in prose.items():
         values = re.findall(pattern, " ".join(readme.split()))
         assert values and all(int(v) * 2**20 == constants[name] for v in values), name
+    rows = re.findall(r"blocks of (\d+)\s+rows \(`_CSV_ROWS`", " ".join(readme.split()))
+    assert rows and all(int(v) == ethsim.fileio._CSV_ROWS for v in rows)
