@@ -43,9 +43,13 @@ def row_blocks(dim: int):
     return [slice(lo, lo + rows) for lo in range(0, dim, rows)]
 
 
-def hermitian_deviation(mat: np.ndarray) -> float:
-    """max |M - M^dag|, one row block at a time."""
-    return float(np.max([np.abs(mat[rows] - mat[:, rows].conj().T).max() for rows in row_blocks(mat.shape[0])]))
+def hermitian_deviation(left: np.ndarray, right: np.ndarray | None = None) -> float:
+    """max |L R^dag - R L^dag| for the operator L R^dag of two N x r factors (never
+    formed), or max |M - M^dag| for M = left when right is None, one row block at a time."""
+    if right is None:
+        return float(np.max([np.abs(left[rows] - left[:, rows].conj().T).max() for rows in row_blocks(left.shape[0])]))
+    # rows I conjugated: same magnitudes, and only the thin L_I and R_I are conjugated
+    return float(np.max([np.abs(left[rows].conj() @ right.T - right[rows].conj() @ left.T).max() for rows in row_blocks(left.shape[0])]))
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
@@ -89,40 +93,43 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Dense square operator with a validated hermitian flag and, when its
-    builder knows them, factors (L, R): two N x r arrays with entries = L R^dag.
-    hermitian=None sets the flag from the same scan that validates a True one:
-    max |M - M^dag| <= HERMITIAN_TOL. Both checks run in row blocks. Entries
-    and factors are copied unless the caller has already made them read-only
-    arrays of complex dtype, which are kept as given."""
+    """Square operator held as its N x N entries or as factors (L, R), two N x r
+    arrays defining L R^dag, with entries None. hermitian=None sets the flag from
+    the row-blocked scan max |M - M^dag| <= HERMITIAN_TOL that validates a True one.
+    Arrays are copied unless already read-only and complex, then kept as given."""
 
     dim: int
-    entries: np.ndarray
+    entries: np.ndarray | None
     hermitian: bool | None = False
     factors: tuple | None = None
 
     def __post_init__(self):
-        mat = _frozen_array(self.entries)
-        if mat.shape != (self.dim, self.dim):
-            raise DomainError(f"operator has shape {mat.shape}, expected ({self.dim}, {self.dim})")
+        if (self.entries is None) == (self.factors is None):
+            raise DomainError("an operator takes either entries or factors (L, R), not both or neither")
+        if self.factors is None:
+            mat = _frozen_array(self.entries)
+            if mat.shape != (self.dim, self.dim):
+                raise DomainError(f"operator has shape {mat.shape}, expected ({self.dim}, {self.dim})")
+            object.__setattr__(self, "entries", mat)
+        else:
+            left, right = (_frozen_array(f) for f in self.factors)
+            if left.shape != right.shape or left.shape[:-1] != (self.dim,):
+                raise DomainError(f"factors of shapes {left.shape} and {right.shape} are not two ({self.dim}, r) arrays")
+            object.__setattr__(self, "factors", (left, right))
         if self.hermitian is None or self.hermitian:
-            dev = hermitian_deviation(mat)
+            dev = hermitian_deviation(*(self.factors or (self.entries,)))
             if self.hermitian is None:
                 object.__setattr__(self, "hermitian", dev <= HERMITIAN_TOL)
             elif dev > HERMITIAN_TOL:
                 raise DomainError(f"hermitian flag set but max |M - M^dag| = {dev}")
-        if self.factors is not None:
-            left, right = (_frozen_array(f) for f in self.factors)
-            if left.shape != right.shape or left.shape[:-1] != (self.dim,) or _factor_deviation(left, right, mat) > HERMITIAN_TOL:
-                raise DomainError(f"factors of shapes {left.shape} and {right.shape} do not give the entries as L R^dag")
-            object.__setattr__(self, "factors", (left, right))
-        object.__setattr__(self, "entries", mat)
 
-
-def _factor_deviation(left: np.ndarray, right: np.ndarray, mat: np.ndarray) -> float:
-    """max |L R^dag - M|, one row block at a time."""
-    right_h = right.conj().T
-    return float(np.max([np.abs(left[rows] @ right_h - mat[rows]).max() for rows in row_blocks(mat.shape[0])]))
+    def matrix(self) -> np.ndarray:
+        """The read-only N x N matrix: entries, or L R^dag formed for dense test references."""
+        if self.factors is None:
+            return self.entries
+        mat = self.factors[0] @ self.factors[1].conj().T
+        mat.setflags(write=False)
+        return mat
 
 
 @dataclass(frozen=True)
@@ -219,14 +226,8 @@ def from_pauli_terms(n_qubits: int, terms) -> DenseOperator:
 
 
 def projector_from_state(phi: StateVector) -> DenseOperator:
-    """Rank-one projector |phi><phi|; trace is exactly 1."""
-    amps, bra = phi.amplitudes, phi.amplitudes.conj()
-    mat = np.empty((phi.dim, phi.dim), dtype=complex)
-    for rows in row_blocks(phi.dim):
-        # symmetrize away the last-bit rounding so the hermitian flag validates
-        mat[rows] = 0.5 * (np.outer(amps[rows], bra) + np.outer(amps, bra[rows]).conj().T)
-    mat.setflags(write=False)  # handed over, not copied
-    return DenseOperator(phi.dim, mat, hermitian=True, factors=(phi.amplitudes[:, None],) * 2)
+    """Rank-one projector |phi><phi| as the factors L = R = phi; trace is exactly 1."""
+    return DenseOperator(phi.dim, None, hermitian=True, factors=(phi.amplitudes[:, None],) * 2)
 
 
 def qft_matrix(n_qubits: int) -> DenseOperator:
@@ -246,41 +247,43 @@ def all_ones_delta(n_qubits: int, scale: float = 1.0) -> DenseOperator:
     if not np.isfinite(scale):
         raise DomainError(f"scale must be finite, got {scale!r}")
     u = uniform_superposition(n_qubits).amplitudes[:, None]
-    dim = u.shape[0]
-    return DenseOperator(dim, np.full((dim, dim), scale / dim, dtype=complex), hermitian=True, factors=(scale * u, u))
+    return DenseOperator(u.shape[0], None, hermitian=True, factors=(scale * u, u))
 
 
 def commutator_norm(a: DenseOperator, d: DenseOperator) -> float:
     """Max-entry magnitude of A D - D A; zero signals a conserved observable."""
     if a.dim != d.dim:
         raise DomainError(f"operator dimensions differ: {a.dim} vs {d.dim}")
-    comm = a.entries @ d.entries - d.entries @ a.entries
+    comm = a.matrix() @ d.matrix() - d.matrix() @ a.matrix()
     return float(np.abs(comm).max())
 
 
 def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
     """Sparse Hermitian mask from (row, col, value) triples.
 
-    Values at repeated positions accumulate. The assembled matrix must be
-    Hermitian within 1e-12, otherwise the mask cannot serve as an observable.
-    Its factors are its nonzero columns and the unit vectors that select them.
+    Values at repeated positions accumulate. The mask must be Hermitian
+    within 1e-12, otherwise it cannot serve as an observable. Its factors,
+    built from the triples, are its nonzero columns and the unit vectors
+    that select them.
     """
     _check_qubit_count(n_qubits)
     dim = 2**n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    listed = set()
-    for row, col, value in nonzero_entries:
+    triples = list(nonzero_entries)
+    position = {col: j for j, col in enumerate(sorted({col for _, col, _ in triples}))}
+    columns = np.zeros((dim, len(position)), dtype=complex)
+    for row, col, value in triples:
         if not (0 <= row < dim and 0 <= col < dim):
             raise DomainError(f"mask entry ({row}, {col}) outside [0, {dim})^2")
-        mat[row, col] += value
-        listed.add(col)
-    dev = hermitian_deviation(mat)
-    if dev > HERMITIAN_TOL:
-        raise DomainError(f"derivative mask is not Hermitian: max |M - M^dag| = {dev}")
-    # only the listed columns can be nonzero; entries that cancel leave theirs empty
-    cols = np.array([col for col in sorted(listed) if mat[:, col].any()], dtype=int)
-    mat.setflags(write=False)  # handed over, not copied
-    return DenseOperator(dim, mat, hermitian=True, factors=(mat[:, cols], 1.0 * (np.arange(dim)[:, None] == cols)))
+        columns[row, position[col]] += value
+    kept = columns.any(axis=0)  # entries that cancel leave their column empty, and it is dropped
+    columns = columns[:, kept]
+    factors = (columns, (np.arange(dim)[:, None] == np.array(list(position), dtype=int)[kept]) + 0j)
+    for factor in factors:
+        factor.setflags(write=False)  # handed over, not copied
+    op = DenseOperator(dim, None, hermitian=None, factors=factors)
+    if not op.hermitian:
+        raise DomainError(f"derivative mask is not Hermitian: max |M - M^dag| = {hermitian_deviation(*factors)}")
+    return op
 
 
 def identity_operator(n_qubits: int) -> DenseOperator:

@@ -384,7 +384,7 @@ def _shot_outcomes(spec, delta, table, amps):
     the value d_i w_k with probability |sum_p <u_i|p> c_p a_p[k]|^2, and last
     the value 0 with the remaining probability, clipped at 0.
     """
-    if not delta.hermitian and hermitian_deviation(delta.entries) > HERMITIAN_TOL:
+    if not delta.hermitian and hermitian_deviation(*(delta.factors or (delta.entries,))) > HERMITIAN_TOL:
         raise ConfigError("shot sampling requires a Hermitian observable")
     left, right = delta.factors or (delta.entries, None)
     if right is None:

@@ -9,6 +9,7 @@ Floats are written with repr so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import secrets
@@ -49,12 +50,9 @@ def write_matrix_file(path, entries) -> Path:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {entries.shape}")
-    dim = entries.shape[0]
-    lines = [str(dim)]
-    for row in entries:
-        # plain-float repr: numpy scalar reprs are not parseable numbers
-        lines.append(" ".join(f"{float(x.real)!r} {float(x.imag)!r}" for x in row))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    # one line per row, streamed; plain-float repr: numpy scalar reprs are not parseable numbers
+    rows = (" ".join(f"{float(x.real)!r} {float(x.imag)!r}" for x in row) + "\n" for row in entries)
+    return atomic_write_text(path, itertools.chain([f"{entries.shape[0]}\n"], rows))
 
 
 def read_matrix_file(path) -> np.ndarray:

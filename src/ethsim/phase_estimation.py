@@ -389,7 +389,7 @@ def joint_observable_matrix(delta: DenseOperator, spec: Spectrum, config: QpeCon
         raise DomainError(f"operator dimensions differ: {delta.dim} vs {spec.dim}")
     e = entangle_matrix(spec, config)
     table = upsilon_table(spec, config, w)
-    joint = np.kron(delta.entries, np.diag(table))
+    joint = np.kron(delta.matrix(), np.diag(table))
     obs = e.conj().T @ joint @ e
     if not np.iscomplexobj(table):
         obs = 0.5 * (obs + obs.conj().T)

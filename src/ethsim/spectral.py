@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DenseOperator, HERMITIAN_TOL, StateVector, _frozen_array, hermitian_deviation, row_blocks
+from .core import DenseOperator, HERMITIAN_TOL, StateVector, _frozen_array, hermitian_deviation
 from .errors import DomainError, SingularityError
 from .weights import WeightSpec
 
@@ -139,7 +139,7 @@ def spectral_commutator_norm(spec: Spectrum, delta: DenseOperator) -> float:
     a Hermitian Delta = L R^dag: X - X^dag with X = A Delta = V (E * V^dag L) R^dag,
     in O(N^2 r). A Delta_eff that differs from Delta only on the eigenbasis
     diagonal has the same commutator, since that diagonal commutes with A."""
-    if not delta.hermitian and hermitian_deviation(delta.entries) > HERMITIAN_TOL:
+    if not delta.hermitian and hermitian_deviation(*(delta.factors or (delta.entries,))) > HERMITIAN_TOL:
         raise DomainError("the commutator norm from the spectrum needs a Hermitian observable")
     return factored_commutator_norm(spec, *(delta.factors or (delta.entries, None)))
 
@@ -147,15 +147,11 @@ def spectral_commutator_norm(spec: Spectrum, delta: DenseOperator) -> float:
 def factored_commutator_norm(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray]) -> float:
     """spectral_commutator_norm from the factors of a Hermitian Delta = L R^dag
     alone (R = I when None), so no N x N Delta needs to be built for it. With
-    Y = V (E * V^dag L), X = Y R^dag; each row block of X - X^dag is
-    Y_rows R^dag - R_rows Y^dag, so X itself is never formed."""
+    Y = V (E * V^dag L), X = Y R^dag, and X - X^dag is the row-blocked
+    Hermitian scan of the factors (Y, R) (of Y itself when R is None)."""
     scaled = spec.coefficients(left)
     scaled *= spec.eigenvalues[:, None]
-    y = spec.eigenvectors @ scaled
-    if right is None:
-        return hermitian_deviation(y)
-    y_h, right_h = y.conj().T, right.conj().T
-    return float(np.max([np.abs(y[rows] @ right_h - right[rows] @ y_h).max() for rows in row_blocks(spec.dim)]))
+    return hermitian_deviation(spec.eigenvectors @ scaled, right)
 
 
 def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:
@@ -212,8 +208,8 @@ def logdet_gradient_oracle(a: DenseOperator | Spectrum, delta: DenseOperator, sp
     h = 1e-6
     mat = spec.operator() if isinstance(a, Spectrum) else a.entries
     sign0, logdet0 = np.linalg.slogdet(mat)
-    shifted = h * delta.entries  # A + h Delta, in one buffer
-    shifted += mat
+    shifted = h * delta.entries if delta.factors is None else (h * delta.factors[0]) @ delta.factors[1].conj().T
+    shifted += mat  # A + h Delta (A + h L R^dag), in one buffer
     sign1, logdet1 = np.linalg.slogdet(shifted)
     if sign0 == 0 or sign1 == 0:
         raise SingularityError("determinant vanished inside the finite-difference check")

@@ -13,6 +13,7 @@ from ethsim.core import (
     HERMITIAN_TOL,
     DenseOperator,
     StateVector,
+    all_ones_delta,
     derivative_mask,
     hermitian_deviation,
     operator_from_matrix,
@@ -34,6 +35,7 @@ from ethsim.spectral import (
     logdet_gradient_oracle,
 )
 from ethsim.weights import WeightSpec
+from helpers import as_matrix
 
 MODES = ("exact-binning", "circuit")
 
@@ -186,32 +188,20 @@ class TestBlockedChecks:
             else:
                 assert DenseOperator(12, mat, hermitian=True).hermitian
 
-    def test_factor_check_matches_the_full_scan(self, small_rows):
+    def test_factored_deviation_equals_the_full_scan_of_the_product(self, small_rows):
         rng = np.random.default_rng(6)
         left, right = (rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3)) for _ in range(2))
-        exact = left @ right.conj().T
-        for shift, ok in ((0.0, True), (0.5 * HERMITIAN_TOL, True), (1e-9, False)):
-            mat = exact.copy()
-            mat[11, 4] += shift
-            assert (np.abs(left @ right.conj().T - mat).max() <= HERMITIAN_TOL) == ok
-            if ok:
-                assert DenseOperator(12, mat, factors=(left, right)).factors[0].shape == (12, 3)
-            else:
-                with pytest.raises(DomainError, match=r"factors of shapes \(12, 3\) and \(12, 3\) do not give the entries"):
-                    DenseOperator(12, mat, factors=(left, right))
-
-    def test_projector_entries_equal_the_symmetrized_outer_product(self, small_rows):
-        phi = _unit(np.random.default_rng(8), 16)
-        outer = np.outer(phi, phi.conj())
-        projector = projector_from_state(StateVector(4, phi))
-        np.testing.assert_array_equal(projector.entries, 0.5 * (outer + outer.conj().T))
+        for factors in ((left, right), (np.hstack([left, right]), np.hstack([right, left])), (left, left)):
+            want = self.full_deviation(factors[0] @ factors[1].conj().T)
+            assert hermitian_deviation(*factors) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert hermitian_deviation(left, left) == 0.0
 
     def test_mask_factors_skip_cancelled_columns(self, small_rows):
         entries = _mask_entries(np.random.default_rng(3), 16, 12)
         mask = derivative_mask(4, entries)
-        cols = np.flatnonzero(np.abs(mask.entries).max(axis=0))
+        cols = np.flatnonzero(np.abs(as_matrix(mask)).max(axis=0))
         assert 2 not in cols
-        np.testing.assert_array_equal(mask.factors[0], mask.entries[:, cols])
+        np.testing.assert_array_equal(mask.factors[0], as_matrix(mask)[:, cols])
         np.testing.assert_array_equal(mask.factors[1], 1.0 * (np.arange(16)[:, None] == cols))
 
     def test_commutator_matches_the_dense_product(self, small_rows):
@@ -253,7 +243,7 @@ class TestLogdetOracle:
     def test_the_check_reads_the_operator_it_is_given(self, monkeypatch):
         a, spec = self.problem()
         mask = derivative_mask(4, _mask_entries(np.random.default_rng(1), 16, 12))
-        expected = np.trace(np.linalg.solve(a.entries, mask.entries)).real
+        expected = np.trace(np.linalg.solve(a.entries, as_matrix(mask))).real
         assert logdet_gradient_oracle(spec, mask) == pytest.approx(expected, rel=1e-12)
 
         def rebuilt(self):
@@ -261,6 +251,24 @@ class TestLogdetOracle:
 
         monkeypatch.setattr(Spectrum, "operator", rebuilt)
         assert logdet_gradient_oracle(a, mask, spec) == pytest.approx(expected, rel=1e-12)
+
+    def test_the_check_shifts_a_by_the_product_of_the_factors(self, monkeypatch):
+        a, spec = self.problem()
+        mask = derivative_mask(4, _mask_entries(np.random.default_rng(1), 16, 12))
+        plain = DenseOperator(16, as_matrix(mask), hermitian=True)
+        seen = []
+        slogdet = np.linalg.slogdet
+
+        def recorded(mat):
+            seen.append(np.array(mat))
+            return slogdet(mat)
+
+        monkeypatch.setattr(np.linalg, "slogdet", recorded)
+        assert logdet_gradient_oracle(a, mask, spec) == pytest.approx(logdet_gradient_oracle(a, plain, spec), rel=1e-12)
+        assert len(seen) == 4
+        np.testing.assert_array_equal(seen[0], a.entries)
+        np.testing.assert_allclose(seen[1], a.entries + 1e-6 * as_matrix(mask), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(seen[1], seen[3], rtol=0, atol=1e-15)
 
 
 DENSE_QUBITS = 8
@@ -362,10 +370,11 @@ class TestHandover:
         phi = np.array([0.6, 0.8], dtype=complex)
         mat = np.outer(phi, phi.conj())
         left = phi[:, None].copy()
-        op = DenseOperator(2, mat, hermitian=True, factors=(left, left))
+        op = DenseOperator(2, mat, hermitian=True)
+        factored = DenseOperator(2, None, hermitian=True, factors=(left, left))
         mat[0, 0], left[0, 0] = 5.0, 5.0
         assert op.entries[0, 0] == pytest.approx(0.36)
-        assert op.factors[0][0, 0] == 0.6
+        assert factored.factors[0][0, 0] == 0.6
         assert not op.entries.flags.writeable
 
     def test_builders_hand_over_without_a_copy(self):
@@ -376,9 +385,25 @@ class TestHandover:
             lambda: derivative_mask(DENSE_QUBITS, [(0, 1, 0.5), (1, 0, 0.5), (3, 3, 1.0)]),
         )
         for build in builders:
-            assert not build().entries.flags.writeable
-            # the built matrix and its row-block transients; a copy would add a whole unit
+            assert not as_matrix(build()).flags.writeable
+            # the factors and the scan's row-block transients; a copy would add a whole unit
             assert _traced_units(build, dim) <= 2.0
+
+    @pytest.mark.parametrize("kind", ["projector", "mask", "all-ones"])
+    def test_factored_builders_peak_below_one_mib(self, kind):
+        # at n = 10 one N x N complex array is 16 MiB; a builder holds its N x r
+        # factors (r = 10 for this 12-entry mask) and two 256 KiB row-block products
+        n_qubits = 10
+        dim = 2**n_qubits
+        phi = StateVector(n_qubits, np.full(dim, dim**-0.5, dtype=complex))
+        entries = _mask_entries(np.random.default_rng(3), dim, 12)
+        build = {
+            "projector": lambda: projector_from_state(phi),
+            "mask": lambda: derivative_mask(n_qubits, entries),
+            "all-ones": lambda: all_ones_delta(n_qubits, 0.7),
+        }[kind]
+        assert build().entries is None
+        assert _traced_units(build, dim) * 16 * dim**2 < 2**20
 
     def test_a_read_only_array_of_another_dtype_is_converted(self):
         real = np.eye(4)

@@ -22,6 +22,7 @@ from ethsim import (
     random_state,
     uniform_superposition,
 )
+from helpers import as_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -136,17 +137,17 @@ class TestOperators:
 class TestAllOnesDelta:
     def test_every_entry_is_scale_over_dim(self):
         d = all_ones_delta(3, scale=2.0)
-        np.testing.assert_allclose(d.entries, 2.0 / 8.0, atol=1e-14)
+        np.testing.assert_allclose(as_matrix(d), 2.0 / 8.0, atol=1e-14)
         assert d.hermitian
 
     def test_single_qubit_matches_hadamard_combination(self):
         # scale sqrt(2) gives (I + X)/sqrt(2)
         d = all_ones_delta(1, scale=math.sqrt(2.0))
-        np.testing.assert_allclose(d.entries, (np.eye(2) + SX) / math.sqrt(2.0), atol=1e-14)
+        np.testing.assert_allclose(as_matrix(d), (np.eye(2) + SX) / math.sqrt(2.0), atol=1e-14)
 
     def test_rank_one_times_dim(self):
         d = all_ones_delta(2)
-        evals = np.linalg.eigvalsh(d.entries)
+        evals = np.linalg.eigvalsh(as_matrix(d))
         np.testing.assert_allclose(sorted(evals), [0, 0, 0, 1], atol=1e-12)
 
 
@@ -170,7 +171,7 @@ class TestQft:
 class TestMiscOperators:
     def test_projector_idempotent(self):
         p = projector_from_state(uniform_superposition(2))
-        np.testing.assert_allclose(p.entries @ p.entries, p.entries, atol=1e-12)
+        np.testing.assert_allclose(as_matrix(p) @ as_matrix(p), as_matrix(p), atol=1e-12)
         assert p.hermitian
 
     def test_commutator_norm_values(self):
@@ -182,13 +183,13 @@ class TestMiscOperators:
     def test_derivative_mask_requires_hermitian_pattern(self):
         m = derivative_mask(2, [(0, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)])
         assert m.hermitian
-        assert m.entries[1, 2] == 0.5
+        assert as_matrix(m)[1, 2] == 0.5
         with pytest.raises(DomainError):
             derivative_mask(2, [(1, 2, 0.5)])
 
     def test_derivative_mask_accumulates_repeats(self):
         m = derivative_mask(1, [(0, 0, 1.0), (0, 0, 2.0)])
-        assert m.entries[0, 0] == 3.0
+        assert as_matrix(m)[0, 0] == 3.0
 
     def test_qubit_cap(self):
         with pytest.raises(DomainError):

@@ -67,6 +67,7 @@ from ethsim.phase_estimation import (
 from ethsim.presets import build_preset
 from ethsim.rng import substream
 from ethsim.spectral import Spectrum, in_eigenbasis
+from helpers import as_matrix
 
 DYADIC_2Q = from_pauli_terms(
     2, [PauliTerm(0.625, "II"), PauliTerm(0.25, "ZI"), PauliTerm(0.125, "IZ")]
@@ -696,7 +697,7 @@ def _full_eigh_distribution(spec, delta, table, amps, c):
     """The reference outcome distribution of one step: all N eigenpairs
     (d_j, u_j) of Delta from a full eigh, outcome d_j w_k with probability
     |sum_p <u_j|p> c_p a_p[k]|^2, N * 2^m outcomes in all."""
-    d, u = np.linalg.eigh(delta.entries)
+    d, u = np.linalg.eigh(as_matrix(delta))
     amp = (u.conj().T @ spec.eigenvectors) @ (c[:, None] * amps)
     return np.outer(d, table).ravel(), (np.abs(amp) ** 2).ravel()
 
@@ -720,7 +721,7 @@ def _span_observables(phi):
     """Observables of every shape the shot path meets, with their span's rank r."""
     amp = phi.amplitudes[:, None]
     # |phi><phi| through factors whose columns repeat: R is rank-deficient
-    repeated = DenseOperator(phi.dim, projector_from_state(phi).entries, hermitian=True, factors=(np.hstack([amp, amp]), 0.5 * np.hstack([amp, amp])))
+    repeated = DenseOperator(phi.dim, None, hermitian=True, factors=(np.hstack([amp, amp]), 0.5 * np.hstack([amp, amp])))
     return {
         "projector": (projector_from_state(phi), 1),
         "mask": (derivative_mask(3, MASK_RANK5), 5),
@@ -778,7 +779,7 @@ class TestSpanShotOutcomes:
         qpe = QpeConfig(m=3, shift=1.0, scale=1.0)
         amps = register_amplitudes(spec, qpe)
         table = reached_weight_table(amps, qpe, WeightSpec(kind="inverse")).real
-        herm = projector_from_state(phi).entries
+        herm = as_matrix(projector_from_state(phi))
         values, _ = _shot_outcomes(spec, DenseOperator(spec.dim, herm), table, amps)
         assert values.size == spec.dim * qpe.register_size + 1
         with pytest.raises(ConfigError, match="shot sampling requires a Hermitian observable"):
@@ -788,7 +789,7 @@ class TestSpanShotOutcomes:
         a, phi, init = _merged_problem(3, 3, seed=17)
         qpe = QpeConfig(m=3, shift=1.0, scale=1.0)
         eth = EthConfig(dt=0.37, num_steps=20, sampling="shots", shots=16, seed=5, initial_state=init)
-        herm = projector_from_state(phi).entries
+        herm = as_matrix(projector_from_state(phi))
         skewed = DenseOperator(phi.dim, herm + 1e-10 * np.triu(np.ones_like(herm), 1))
         keys = []
         monkeypatch.setattr(estimators, "substream", lambda *key: keys.append(key))
@@ -936,7 +937,7 @@ def test_degenerate_groups_keep_their_weight_in_the_diagonal_target(form, mode):
         delta, w = projector_from_state(phi), WeightSpec(kind="inverse")
         out = run_vector_form(spec, phi, eth, qpe)
     v = spec.eigenvectors
-    dense = v.conj().T @ delta.entries @ v
+    dense = v.conj().T @ as_matrix(delta) @ v
     c = v.conj().T @ DEGENERATE_START
     f = w.evaluate(spec.eigenvalues, spec.spectral_range)
     assert [len(g) for g in spec.degeneracy_groups] == [2, 2]
@@ -987,8 +988,8 @@ class TestLogdetGradient:
         assert out.value == pytest.approx(5.0, abs=1e-9)
         assert logdet_gradient_oracle(DYADIC_2Q, mask) == pytest.approx(5.0, rel=1e-9)
         h = 1e-4
-        up = np.linalg.slogdet(DYADIC_2Q.entries + h * mask.entries)[1]
-        dn = np.linalg.slogdet(DYADIC_2Q.entries - h * mask.entries)[1]
+        up = np.linalg.slogdet(DYADIC_2Q.entries + h * as_matrix(mask))[1]
+        dn = np.linalg.slogdet(DYADIC_2Q.entries - h * as_matrix(mask))[1]
         fd = (up - dn) / (2 * h)
         assert abs(out.value - fd) <= max(3 * 4.0 * out.raw.standard_error, 1e-3)
 

@@ -27,9 +27,11 @@ from ethsim.core import (
     projector_from_state,
     qft_matrix,
     random_state,
+    uniform_superposition,
 )
 from ethsim.phase_estimation import reweighted_delta
 from ethsim.spectral import eigenbasis_ensemble, in_eigenbasis, spectral_commutator_norm
+from helpers import as_matrix
 
 KINDS = ("projector", "mask", "identity", "all-ones", "dense")
 SIZES = (1, 2, 4, 6)  # N = 2 .. 64
@@ -88,7 +90,7 @@ class TestFactoredForms:
             assert max(len(g) for g in spec.degeneracy_groups) == 3
         delta = _delta(kind, n_qubits)
         v = spec.eigenvectors
-        return a, spec, delta, v.conj().T @ delta.entries @ v
+        return a, spec, delta, v.conj().T @ as_matrix(delta) @ v
 
     def test_eigenbasis_matrix(self, kind, n_qubits, degenerate):
         _, spec, delta, dense = self.problem(kind, n_qubits, degenerate)
@@ -128,18 +130,70 @@ class TestFactorsCarried:
         left, right = mask.factors
         assert left.shape == (8, 3)
         np.testing.assert_array_equal(np.flatnonzero(right.sum(axis=1)), [1, 5, 6])
-        np.testing.assert_array_equal(left @ right.conj().T, mask.entries)
+        np.testing.assert_array_equal(left @ right.conj().T, as_matrix(mask))
 
     def test_plain_operators_carry_none(self):
         assert identity_operator(2).factors is None
         assert all_ones_delta(2).factors is not None
 
-    def test_factors_must_reproduce_the_entries(self):
+
+class TestFactorsAreTheDefinition:
+    """A factored operator holds L and R and no entries; its flag comes from the factored scan."""
+
+    @staticmethod
+    def factors(hermitian):
+        rng = np.random.default_rng(11)
+        left, right = (rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)) for _ in range(2))
+        # L R^dag + R L^dag is Hermitian; L R^dag alone is not
+        return (np.hstack([left, right]), np.hstack([right, left])) if hermitian else (left, right)
+
+    def test_a_non_hermitian_product_with_the_flag_raises(self):
+        left, right = self.factors(hermitian=False)
+        full = left @ right.conj().T
+        with pytest.raises(DomainError, match=r"hermitian flag set but max \|M - M\^dag\| = ") as err:
+            DenseOperator(8, None, hermitian=True, factors=(left, right))
+        assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(np.abs(full - full.conj().T).max(), rel=1e-12)
+
+    def test_an_unset_flag_comes_from_the_factored_scan(self):
+        for hermitian in (True, False):
+            op = DenseOperator(8, None, hermitian=None, factors=self.factors(hermitian))
+            assert op.hermitian is hermitian
+            assert op.entries is None
+
+    def test_all_ones_with_an_imaginary_scale_raises(self):
+        with pytest.raises(DomainError, match="hermitian flag set"):
+            all_ones_delta(2, 1j)
+
+    def test_a_non_hermitian_mask_keeps_its_error_text(self):
+        with pytest.raises(DomainError) as err:
+            derivative_mask(2, [(1, 2, 0.5)])
+        assert str(err.value) == "derivative mask is not Hermitian: max |M - M^dag| = 0.5"
+
+    def test_matrix_is_the_product_of_the_factors(self):
+        for delta in (_delta("projector", 3), _delta("mask", 3), _delta("all-ones", 3)):
+            left, right = delta.factors
+            assert delta.entries is None
+            np.testing.assert_array_equal(delta.matrix(), left @ right.conj().T)
+            assert not delta.matrix().flags.writeable
+        plain = identity_operator(3)
+        assert plain.matrix() is plain.entries
+
+    def test_mask_matrix_equals_its_accumulated_triples(self):
+        entries = [(0, 0, 0.7), (2, 5, 0.5 - 1j), (5, 2, 0.5 + 1j), (2, 5, 0.25), (5, 2, 0.25), (3, 3, -1.0), (3, 3, 1.0)]
+        dense = np.zeros((8, 8), dtype=complex)
+        for row, col, value in entries:
+            dense[row, col] += value
+        mask = derivative_mask(3, entries)
+        assert mask.factors[0].shape == (8, 3)  # column 3 cancels
+        np.testing.assert_array_equal(mask.matrix(), dense)
+
+    def test_entries_and_factors_exclude_each_other(self):
         col = np.array([[1.0], [0.0]])
-        with pytest.raises(DomainError, match="do not give the entries"):
-            DenseOperator(2, np.eye(2), factors=(col, col))
-        with pytest.raises(DomainError, match="do not give the entries"):
-            DenseOperator(2, np.eye(2), factors=(np.eye(2), col))
+        for entries, factors in ((np.eye(2), (col, col)), (None, None)):
+            with pytest.raises(DomainError, match="either entries or factors"):
+                DenseOperator(2, entries, factors=factors)
+        with pytest.raises(DomainError, match=r"factors of shapes \(2, 2\) and \(2, 1\) are not two \(2, r\) arrays"):
+            DenseOperator(2, None, factors=(np.eye(2), col))
 
 
 @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
@@ -149,7 +203,7 @@ def test_operator_form_with_and_without_factors(kind, mode):
     a = _operator(4, False)
     delta = _delta(kind, 4)
     assert delta.factors is not None
-    plain = DenseOperator(delta.dim, delta.entries, hermitian=True)
+    plain = DenseOperator(delta.dim, as_matrix(delta), hermitian=True)
     init = InitialState(kind="haar", seed=8)
     eth = EthConfig(dt=0.37, num_steps=200, initial_state=init)
     qpe = QpeConfig(m=3, shift=0.9, scale=0.5, mode=mode)
@@ -186,11 +240,14 @@ class TestAllOnesFactors:
     def test_entries_and_rank_one_factors(self, n_qubits, scale):
         delta = all_ones_delta(n_qubits, scale=scale)
         dim = 2**n_qubits
-        np.testing.assert_array_equal(delta.entries, np.full((dim, dim), scale / dim))
         left, right = delta.factors
         assert left.shape == right.shape == (dim, 1)
-        np.testing.assert_allclose(left @ right.conj().T, delta.entries, rtol=0, atol=1e-15 * abs(scale))
-        np.testing.assert_allclose(delta.entries, _qft_all_ones(n_qubits, scale).entries, rtol=0, atol=1e-14 * abs(scale))
+        # the factors, not entries, are the operator: exactly (scale * u, u)
+        u = uniform_superposition(n_qubits).amplitudes[:, None]
+        np.testing.assert_array_equal(left, scale * u)
+        np.testing.assert_array_equal(right, u)
+        np.testing.assert_allclose(left @ right.conj().T, as_matrix(delta), rtol=0, atol=1e-15 * abs(scale))
+        np.testing.assert_allclose(as_matrix(delta), _qft_all_ones(n_qubits, scale).entries, rtol=0, atol=1e-14 * abs(scale))
 
     @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
     @pytest.mark.parametrize("degenerate", [False, True])

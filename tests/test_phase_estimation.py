@@ -40,6 +40,7 @@ from ethsim.phase_estimation import (
     qpe_sandwich_matrix,
     upsilon_table,
 )
+from helpers import as_matrix
 
 SIGMA_Z = eigendecompose(from_pauli_terms(1, [PauliTerm(1.0, "Z")]))
 DYADIC_2Q = eigendecompose(
@@ -263,7 +264,7 @@ class TestReweightedDelta:
         delta = all_ones_delta(2)
         out = reweighted_delta(delta, DYADIC_2Q, WeightSpec(kind="inverse"))
         v = DYADIC_2Q.eigenvectors
-        deig_in = v.conj().T @ delta.entries @ v
+        deig_in = v.conj().T @ as_matrix(delta) @ v
         deig_out = v.conj().T @ out.entries @ v
         f = 1.0 / DYADIC_2Q.eigenvalues
         np.testing.assert_allclose(np.diag(deig_out), np.diag(deig_in) * f, atol=1e-12)
@@ -294,7 +295,7 @@ class TestJointObservable:
         w = WeightSpec(kind="inverse")
         got = qpe_sandwich_matrix(delta, DYADIC_2Q, DYADIC_QPE, w)
         v = DYADIC_2Q.eigenvectors
-        deig = v.conj().T @ delta.entries @ v
+        deig = v.conj().T @ as_matrix(delta) @ v
         kp = register_indices(DYADIC_2Q, DYADIC_QPE)
         f = w.evaluate(energy_table(DYADIC_QPE)[kp], DYADIC_QPE.representable_span)
         g = deig * (kp[:, None] == kp[None, :]) * f[None, :]
@@ -306,14 +307,14 @@ class TestJointObservable:
         delta = all_ones_delta(1, scale=math.sqrt(2.0))
         with pytest.warns(PhaseCollisionWarning):
             got = qpe_sandwich_matrix(delta, SIGMA_Z, config, WeightSpec(kind="unit"))
-        np.testing.assert_allclose(got, delta.entries, atol=1e-12)
+        np.testing.assert_allclose(got, as_matrix(delta), atol=1e-12)
 
     def test_resolved_bins_keep_only_diagonal(self):
         config = QpeConfig(m=2, shift=-1.0, scale=0.25)
         delta = all_ones_delta(1, scale=math.sqrt(2.0))
         got = qpe_sandwich_matrix(delta, SIGMA_Z, config, WeightSpec(kind="unit"))
         v = SIGMA_Z.eigenvectors
-        deig = v.conj().T @ delta.entries @ v
+        deig = v.conj().T @ as_matrix(delta) @ v
         np.testing.assert_allclose(got, v @ np.diag(np.diag(deig)) @ v.conj().T, atol=1e-12)
 
 

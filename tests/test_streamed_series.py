@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ethsim.estimators import batch_means_standard_error, running_mean, running_standard_error
-from ethsim.fileio import atomic_write_text, series_csv_blocks, series_json_blocks, write_series
+from ethsim.fileio import atomic_write_text, read_matrix_file, series_csv_blocks, series_json_blocks, write_matrix_file, write_series
 
 STREAM_ROWS = 100_000
 
@@ -83,6 +83,17 @@ class TestStreamedWrite:
         assert traced_peak(lambda: write_series(path, fmt, 0.5, *cols)) <= 2**20
         blocks = {"csv": series_csv_blocks, "json": series_json_blocks}[fmt]
         assert path.read_text() == "".join(blocks(0.5, *cols))
+
+    def test_matrix_file_streams_its_rows(self, tmp_path):
+        rng = np.random.default_rng(14)
+        mat = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        mat[0, :3] = [complex(-0.0, 5e-324), complex(1e22, -1e22), complex(2.0, -0.0)]
+        joined = "\n".join([str(256)] + [" ".join(f"{float(x.real)!r} {float(x.imag)!r}" for x in row) for row in mat]) + "\n"
+        path = tmp_path / "a.txt"
+        # one formatted row at a time; the joined file text alone would be 2.5 MiB
+        assert traced_peak(lambda: write_matrix_file(path, mat)) <= 2**20
+        assert path.read_bytes() == joined.encode()
+        np.testing.assert_array_equal(read_matrix_file(path), mat)
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_a_block_that_raises_leaves_no_file_behind(self, tmp_path, existing):
