@@ -6,7 +6,7 @@ at 14 qubits so a mistake in qubit count fails fast instead of thrashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,10 @@ def row_blocks(dim: int):
 
 def hermitian_deviation(left: np.ndarray, right: np.ndarray | None = None) -> float:
     """max |L R^dag - R L^dag| for the operator L R^dag of two N x r factors (never
-    formed), or max |M - M^dag| for M = left when right is None, one row block at a time."""
+    formed), or max |M - M^dag| for M = left when right is None, one row block at a time.
+    It is exactly 0.0 without a scan when right is left: L L^dag is Hermitian."""
+    if right is left:
+        return 0.0
     if right is None:
         return float(np.max([np.abs(left[rows] - left[:, rows].conj().T).max() for rows in row_blocks(left.shape[0])]))
     # rows I conjugated: same magnitudes, and only the thin L_I and R_I are conjugated
@@ -94,14 +97,14 @@ class StateVector:
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Square operator held as its N x N entries or as factors (L, R), two N x r
-    arrays defining L R^dag, with entries None. hermitian=None sets the flag from
-    the row-blocked scan max |M - M^dag| <= HERMITIAN_TOL that validates a True one.
+    arrays defining L R^dag, with entries None. The hermitian flag is measured,
+    never given: the row-blocked scan max |M - M^dag| <= HERMITIAN_TOL.
     Arrays are copied unless already read-only and complex, then kept as given."""
 
     dim: int
     entries: np.ndarray | None
-    hermitian: bool | None = False
     factors: tuple | None = None
+    hermitian: bool = field(init=False)
 
     def __post_init__(self):
         if (self.entries is None) == (self.factors is None):
@@ -112,19 +115,16 @@ class DenseOperator:
                 raise DomainError(f"operator has shape {mat.shape}, expected ({self.dim}, {self.dim})")
             object.__setattr__(self, "entries", mat)
         else:
-            left, right = (_frozen_array(f) for f in self.factors)
+            left = _frozen_array(self.factors[0])
+            # one array given twice stays one, so the Hermitian scan can skip L L^dag
+            right = left if self.factors[1] is self.factors[0] else _frozen_array(self.factors[1])
             if left.shape != right.shape or left.shape[:-1] != (self.dim,):
                 raise DomainError(f"factors of shapes {left.shape} and {right.shape} are not two ({self.dim}, r) arrays")
             object.__setattr__(self, "factors", (left, right))
-        if self.hermitian is None or self.hermitian:
-            dev = hermitian_deviation(*(self.factors or (self.entries,)))
-            if self.hermitian is None:
-                object.__setattr__(self, "hermitian", dev <= HERMITIAN_TOL)
-            elif dev > HERMITIAN_TOL:
-                raise DomainError(f"hermitian flag set but max |M - M^dag| = {dev}")
+        object.__setattr__(self, "hermitian", hermitian_deviation(*(self.factors or (self.entries,))) <= HERMITIAN_TOL)
 
     def matrix(self) -> np.ndarray:
-        """The read-only N x N matrix: entries, or L R^dag formed for dense test references."""
+        """The read-only N x N matrix: entries, or L R^dag formed for dense references and a factored A."""
         if self.factors is None:
             return self.entries
         mat = self.factors[0] @ self.factors[1].conj().T
@@ -154,11 +154,11 @@ class PauliTerm:
 
 
 def operator_from_matrix(entries) -> DenseOperator:
-    """Wrap a raw matrix, flagging it hermitian when max |M - M^dag| <= HERMITIAN_TOL."""
+    """Wrap a raw matrix; its hermitian flag is measured as for any DenseOperator."""
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {mat.shape}")
-    return DenseOperator(mat.shape[0], mat, hermitian=None)
+    return DenseOperator(mat.shape[0], mat)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -207,8 +207,8 @@ def random_state(n_qubits: int, seed: int, ensemble: str = "haar") -> StateVecto
 def from_pauli_terms(n_qubits: int, terms) -> DenseOperator:
     """Dense Hermitian operator for a weighted Pauli-string sum.
 
-    Every term's axes string must have length ``n_qubits``. The result is
-    flagged hermitian.
+    Every term's axes string must have length ``n_qubits``. The sum of real
+    multiples of Pauli strings is exactly Hermitian, which its flag measures.
     """
     _check_qubit_count(n_qubits)
     terms = list(terms)
@@ -222,12 +222,13 @@ def from_pauli_terms(n_qubits: int, terms) -> DenseOperator:
                 f"term axes {term.axes!r} has length {len(term.axes)}, expected {n_qubits}"
             )
         total += term.coefficient * term.matrix()
-    return DenseOperator(dim, total, hermitian=True)
+    return DenseOperator(dim, total)
 
 
 def projector_from_state(phi: StateVector) -> DenseOperator:
-    """Rank-one projector |phi><phi| as the factors L = R = phi; trace is exactly 1."""
-    return DenseOperator(phi.dim, None, hermitian=True, factors=(phi.amplitudes[:, None],) * 2)
+    """Rank-one projector |phi><phi| as the factors L = R = phi; trace is exactly 1.
+    Both factors are one array, so the Hermitian flag needs no scan."""
+    return DenseOperator(phi.dim, None, factors=(phi.amplitudes[:, None],) * 2)
 
 
 def qft_matrix(n_qubits: int) -> DenseOperator:
@@ -243,11 +244,11 @@ def qft_matrix(n_qubits: int) -> DenseOperator:
 def all_ones_delta(n_qubits: int, scale: float = 1.0) -> DenseOperator:
     """scale * |u><u| for the uniform state u: every entry equals scale / 2**n_qubits,
     with the rank-one factors (scale * u, u). At one qubit, scale = sqrt(2)
-    reproduces (I + sigma_x)/sqrt(2)."""
-    if not np.isfinite(scale):
-        raise DomainError(f"scale must be finite, got {scale!r}")
+    reproduces (I + sigma_x)/sqrt(2). A non-real scale would make it non-Hermitian."""
+    if not (np.isfinite(scale) and np.isreal(scale)):
+        raise DomainError(f"scale must be real and finite, got {scale!r}")
     u = uniform_superposition(n_qubits).amplitudes[:, None]
-    return DenseOperator(u.shape[0], None, hermitian=True, factors=(scale * u, u))
+    return DenseOperator(u.shape[0], None, factors=(scale * u, u))
 
 
 def commutator_norm(a: DenseOperator, d: DenseOperator) -> float:
@@ -280,7 +281,7 @@ def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
     factors = (columns, (np.arange(dim)[:, None] == np.array(list(position), dtype=int)[kept]) + 0j)
     for factor in factors:
         factor.setflags(write=False)  # handed over, not copied
-    op = DenseOperator(dim, None, hermitian=None, factors=factors)
+    op = DenseOperator(dim, None, factors=factors)
     if not op.hermitian:
         raise DomainError(f"derivative mask is not Hermitian: max |M - M^dag| = {hermitian_deviation(*factors)}")
     return op
@@ -289,4 +290,4 @@ def derivative_mask(n_qubits: int, nonzero_entries) -> DenseOperator:
 def identity_operator(n_qubits: int) -> DenseOperator:
     _check_qubit_count(n_qubits)
     dim = 2**n_qubits
-    return DenseOperator(dim, np.eye(dim, dtype=complex), hermitian=True)
+    return DenseOperator(dim, np.eye(dim, dtype=complex))

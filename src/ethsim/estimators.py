@@ -17,20 +17,11 @@ N x r factors (P, Q), for kernel and diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .core import (
-    HERMITIAN_TOL,
-    DenseOperator,
-    StateVector,
-    hermitian_deviation,
-    projector_from_state,
-    random_state,
-    uniform_superposition,
-)
+from .core import DenseOperator, StateVector, projector_from_state, random_state, uniform_superposition
 from .errors import ConfigError, DomainError
 from .phase_estimation import (
     QpeConfig,
@@ -257,29 +248,24 @@ def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: 
             yield (offsets[:, :, None] * table[:, None, :]).reshape(eigenvalues.size, -1)[:, lo:hi]
 
 
-def _exact_series(spec: Spectrum, left: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, amps=None, right=None, table=None) -> np.ndarray:
-    """Per-step c(t_j)^dag G c(t_j) = sum_k c_k^dag G_kk c_k over register bins k.
+def _exact_series(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray], coeffs: np.ndarray, dt: float, num_steps: int, amps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-step c(t_j)^dag G c(t_j) for G = Delta^eig o (conj(a) W a^T), the
+    sandwich <q,0| E^dag (Delta x W) E |p,0> in A's eigenbasis: Delta^eig =
+    left right^dag (left itself when right is None), a = amps and W = diag(table).
 
-    G is left right^dag (left itself when right is None), its bin block k
-    times table[k] when a table is given: exact binning's G_qp = w_k
-    Delta^eig_qp = w_k (P Q^dag)_qp on bin k, built one bin block at a time.
-    Rows of amps that are all one-hot (exact binning) make G_qp vanish unless
-    q and p share a bin; dense circuit rows, or no amps, make one bin. Sorted
-    by bin once, each bin's rows c_k of a block of evolved coefficients are a
-    view: G_kk c_k, then a column dot with c_k conjugated in place. Each block
-    of evolved coefficients is dropped before the next one is built.
+    G_qp vanishes unless rows a_q and a_p share register support. When every
+    row of amps is one-hot (exact binning) G is one block per bin, w_k
+    Delta^eig on bin k; otherwise (dense circuit rows) it is one block. Sorted
+    by block once, each block's rows c_k of a block of evolved coefficients
+    are a view: G_kk c_k, then a column dot with c_k conjugated in place. Each
+    block of evolved coefficients is dropped before the next one is built.
     """
-    one_hot = amps is not None and np.all(np.count_nonzero(amps, axis=1) == 1)
+    one_hot = np.all(np.count_nonzero(amps, axis=1) == 1)
     bins = np.abs(amps).argmax(axis=1) if one_hot else np.zeros(spec.dim, int)
     order = np.argsort(bins, kind="stable")
     splits = np.flatnonzero(np.diff(bins[order])) + 1
-
-    def block(idx):
-        # one bin is all of G in its own order, taken without a copy
-        g = eigenbasis_block(left, right, idx) if splits.size else left if right is None else left @ right.conj().T
-        return g if table is None else table[bins[idx[0]]] * g
-
-    blocks = [block(idx) for idx in np.split(order, splits)]
+    blocks = [eigenbasis_block(left, right, idx) * ((amps[idx].conj() * table) @ amps[idx].T)
+              for idx in np.split(order, splits)]
     series = np.zeros(num_steps)
     start = 0
     for c in _evolved(spec.eigenvalues[order], coeffs[order], dt, num_steps):
@@ -384,7 +370,7 @@ def _shot_outcomes(spec, delta, table, amps):
     the value d_i w_k with probability |sum_p <u_i|p> c_p a_p[k]|^2, and last
     the value 0 with the remaining probability, clipped at 0.
     """
-    if not delta.hermitian and hermitian_deviation(*(delta.factors or (delta.entries,))) > HERMITIAN_TOL:
+    if not delta.hermitian:
         raise ConfigError("shot sampling requires a Hermitian observable")
     left, right = delta.factors or (delta.entries, None)
     if right is None:
@@ -469,17 +455,10 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     table = table.real
     if eth.sampling == "shots":
         values, probabilities = _shot_outcomes(spec, delta, table, amps)
-    elif qpe.mode == "exact-binning":
-        # one-hot rows: G_qp = w_k Delta^eig_qp when q and p share bin k, else 0
-        exact_series = partial(_exact_series, spec, left, amps=amps, right=right, table=table)
-    else:
-        # <q,0| E^dag (delta x W) E |p,0> = delta_qp * sum_k conj(a_q[k]) w_k a_p[k], one dense G
-        delta_eig = left if right is None else left @ right.conj().T
-        exact_series = partial(_exact_series, spec, delta_eig * ((amps.conj() * table) @ amps.T), amps=amps)
 
     def draw(rep, coeffs):
         if eth.sampling == "exact":
-            return exact_series(coeffs, eth.dt, eth.num_steps), 0.0
+            return _exact_series(spec, left, right, coeffs, eth.dt, eth.num_steps, amps, table), 0.0
         # one generator per repetition, drawn in step order: the series is the
         # same for any block width and a prefix of any longer run's
         rng = substream(eth.seed, "shots", rep)

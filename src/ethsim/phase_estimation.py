@@ -323,10 +323,7 @@ def reweighted_delta(delta: DenseOperator, spec: Spectrum, w: WeightSpec, energi
     v = spec.eigenvectors
     np.fill_diagonal(delta_eig, np.diag(delta_eig) * values)
     mat = v @ delta_eig @ v.conj().T
-    if np.iscomplexobj(values):
-        return DenseOperator(spec.dim, mat)
-    mat = 0.5 * (mat + mat.conj().T)
-    return DenseOperator(spec.dim, mat, hermitian=True)
+    return DenseOperator(spec.dim, mat if np.iscomplexobj(values) else 0.5 * (mat + mat.conj().T))
 
 
 def entangle_matrix(spec: Spectrum, config: QpeConfig) -> np.ndarray:

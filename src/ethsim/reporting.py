@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import DomainError
@@ -40,39 +40,14 @@ class RunReport:
         return abs(self.estimate - self.oracle_value)
 
     def to_summary_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "target": self.target,
-            "form": self.form,
-            "seed": self.seed,
-            "estimate": self.estimate,
-            "standard_error": self.standard_error,
-            "normalization": self.normalization,
-            "oracle_value": self.oracle_value,
-            "oracle_gap": self.oracle_gap,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "thermalization": {
-                "verdict": self.verdict.verdict,
-                "plateau": self.verdict.plateau,
-                "drift": self.verdict.drift,
-                "standard_error": self.verdict.standard_error,
-                "trace_target": self.verdict.trace_target,
-                "diagonal_target": self.verdict.diagonal_target,
-                "commutator": self.verdict.commutator,
-                "tolerance": self.verdict.tolerance,
-            },
-            "cost": {
-                "time_steps": self.cost.time_steps,
-                "gate_tally": self.cost.gate_tally,
-                "shots": self.cost.shots,
-                "wall_time_s": self.wall_time_s,
-            },
-            "register_residual": self.register_residual,
-            "series_file": self.series_file,
-            "config": self.config_echo,
-        }
+        """The dataclass fields, with verdict written as thermalization,
+        config_echo as config and wall_time_s inside cost. Only the two nested
+        dataclasses go through asdict: it would deep-copy the config echo."""
+        summary = {f.name: getattr(self, f.name) for f in fields(self)}
+        summary["thermalization"] = asdict(summary.pop("verdict"))
+        summary["config"] = summary.pop("config_echo")
+        summary["cost"] = {**asdict(self.cost), "wall_time_s": summary.pop("wall_time_s")}
+        return {"schema_version": SCHEMA_VERSION, "oracle_gap": self.oracle_gap, **summary}
 
 
 def compare_summaries(a: dict, b: dict) -> dict:

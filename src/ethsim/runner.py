@@ -182,26 +182,10 @@ def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
             outputs=replace(config.outputs, basename=label),
         )
         result = _execute_single(sub)
-        report = result.reports[0]
-        reports.append(report)
+        reports.extend(result.reports)
         series_paths.extend(result.series_paths)
-        rows.append(
-            {
-                "ratio": ratio,
-                "name": label,
-                "estimate": report.estimate,
-                "oracle_value": report.oracle_value,
-                "oracle_gap": report.oracle_gap,
-                "standard_error": report.standard_error,
-                "cost": {
-                    "time_steps": report.cost.time_steps,
-                    "gate_tally": report.cost.gate_tally,
-                    "shots": report.cost.shots,
-                    "wall_time_s": report.wall_time_s,
-                },
-                "series_file": report.series_file,
-            }
-        )
+        keys = ("name", "estimate", "oracle_value", "oracle_gap", "standard_error", "cost", "series_file")
+        rows.append({"ratio": ratio, **{key: result.summary[key] for key in keys}})
 
     out_dir = Path(config.outputs.out_dir)
     basename = config.outputs.basename or config.name

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DenseOperator, HERMITIAN_TOL, StateVector, _frozen_array, hermitian_deviation
+from .core import DenseOperator, StateVector, _frozen_array, hermitian_deviation
 from .errors import DomainError, SingularityError
 from .weights import WeightSpec
 
@@ -63,13 +63,13 @@ def eigendecompose(a: DenseOperator) -> Spectrum:
     """Exact Hermitian eigendecomposition with degeneracy grouping.
 
     Consecutive eigenvalues whose gap is at most DEGENERACY_FRACTION times
-    the spectral range share a group. DenseOperator checks the hermitian flag
-    against its read-only entries when it is built, so the flag is all this
-    reads.
+    the spectral range share a group. DenseOperator measures the hermitian
+    flag when it is built, so the flag is all this reads; a factored operator
+    is decomposed through its matrix L R^dag.
     """
     if not a.hermitian:
-        raise DomainError("eigendecompose requires an operator flagged Hermitian")
-    evals, evecs = np.linalg.eigh(a.entries)
+        raise DomainError("eigendecompose requires a Hermitian operator")
+    evals, evecs = np.linalg.eigh(a.matrix())
     # eigh's fresh arrays, handed to Spectrum read-only so it keeps them without a copy
     evals.setflags(write=False)
     evecs.setflags(write=False)
@@ -139,7 +139,7 @@ def spectral_commutator_norm(spec: Spectrum, delta: DenseOperator) -> float:
     a Hermitian Delta = L R^dag: X - X^dag with X = A Delta = V (E * V^dag L) R^dag,
     in O(N^2 r). A Delta_eff that differs from Delta only on the eigenbasis
     diagonal has the same commutator, since that diagonal commutes with A."""
-    if not delta.hermitian and hermitian_deviation(*(delta.factors or (delta.entries,))) > HERMITIAN_TOL:
+    if not delta.hermitian:
         raise DomainError("the commutator norm from the spectrum needs a Hermitian observable")
     return factored_commutator_norm(spec, *(delta.factors or (delta.entries, None)))
 
@@ -159,10 +159,7 @@ def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:
     values = f.evaluate(spec.eigenvalues, spec.spectral_range)
     v = spec.eigenvectors
     mat = (v * values) @ v.conj().T
-    if np.iscomplexobj(values):
-        return DenseOperator(spec.dim, mat)
-    mat = 0.5 * (mat + mat.conj().T)
-    return DenseOperator(spec.dim, mat, hermitian=True)
+    return DenseOperator(spec.dim, mat if np.iscomplexobj(values) else 0.5 * (mat + mat.conj().T))
 
 
 def trace_weighted(spec: Spectrum, delta: DenseOperator, f: WeightSpec) -> float:
@@ -195,7 +192,7 @@ def logdet_gradient_oracle(a: DenseOperator | Spectrum, delta: DenseOperator, sp
 
     Computed spectrally from spec (the eigendecomposition of a when not
     given) and cross-checked against a forward difference of
-    ln |det (A + h Delta)| at h = 1e-6, on a's own entries (V diag(E) V^dag
+    ln |det (A + h Delta)| at h = 1e-6, on a's own matrix (V diag(E) V^dag
     when a is a Spectrum). The two must agree to O(h) with a curvature-aware
     allowance; disagreement means the spectrum is too close to singular for
     the oracle to be trusted, and raises.
@@ -206,7 +203,7 @@ def logdet_gradient_oracle(a: DenseOperator | Spectrum, delta: DenseOperator, sp
     value = float(np.real(inverse @ eigenbasis_diagonal(p, q)))
 
     h = 1e-6
-    mat = spec.operator() if isinstance(a, Spectrum) else a.entries
+    mat = spec.operator() if isinstance(a, Spectrum) else a.matrix()
     sign0, logdet0 = np.linalg.slogdet(mat)
     shifted = h * delta.entries if delta.factors is None else (h * delta.factors[0]) @ delta.factors[1].conj().T
     shifted += mat  # A + h Delta (A + h L R^dag), in one buffer

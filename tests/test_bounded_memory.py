@@ -19,7 +19,6 @@ from ethsim.core import (
     operator_from_matrix,
     projector_from_state,
 )
-from ethsim.errors import DomainError
 from ethsim.estimators import EthConfig, InitialState, run_operator_form, run_vector_form, thermalization_diagnostics
 from ethsim.fileio import read_matrix_file, write_matrix_file
 from ethsim.phase_estimation import QpeConfig, energy_table, reached_weight_table, register_amplitudes
@@ -75,7 +74,7 @@ def _degenerate_problem(n_qubits=4, m=3, seed=5):
     deltas = {
         "rank-1": projector_from_state(StateVector(n_qubits, _unit(rng, dim))),
         "mask": derivative_mask(n_qubits, _mask_entries(rng, dim, 12)),
-        "unfactored": DenseOperator(dim, herm + herm.conj().T, hermitian=True),
+        "unfactored": DenseOperator(dim, herm + herm.conj().T),
     }
     init = InitialState(kind="explicit", amplitudes=tuple(_unit(rng, dim)))
     return spec, deltas, StateVector(n_qubits, np.asarray(init.amplitudes)), EthConfig(dt=0.37, num_steps=300, initial_state=init)
@@ -177,16 +176,9 @@ class TestBlockedChecks:
             mat = np.arange(dim * dim, dtype=complex).reshape(dim, dim)
             assert hermitian_deviation(mat) == self.full_deviation(mat)
 
-    def test_flags_and_errors_match_the_full_scan(self, small_rows):
+    def test_flags_match_the_full_scan(self, small_rows):
         for mat in self.matrices().values():
-            dev = self.full_deviation(mat)
-            assert DenseOperator(12, mat, hermitian=None).hermitian == (dev <= HERMITIAN_TOL)
-            if dev > HERMITIAN_TOL:
-                with pytest.raises(DomainError) as err:
-                    DenseOperator(12, mat, hermitian=True)
-                assert str(err.value) == f"hermitian flag set but max |M - M^dag| = {dev}"
-            else:
-                assert DenseOperator(12, mat, hermitian=True).hermitian
+            assert DenseOperator(12, mat).hermitian == (self.full_deviation(mat) <= HERMITIAN_TOL)
 
     def test_factored_deviation_equals_the_full_scan_of_the_product(self, small_rows):
         rng = np.random.default_rng(6)
@@ -240,6 +232,15 @@ class TestLogdetOracle:
             want = float(abs(inverse @ np.abs(delta_eig) ** 2 @ inverse))
             assert _logdet_curvature(inverse, *eigenbasis_factors(spec, delta)) == pytest.approx(want, rel=1e-12)
 
+    def test_a_factored_a_gives_the_value_of_its_entries(self):
+        a, spec = self.problem()
+        root = spec.eigenvectors * np.sqrt(spec.eigenvalues)  # E > 0: A = L L^dag with L = V diag(sqrt(E))
+        factored = DenseOperator(16, None, factors=(root, root))
+        mask = derivative_mask(4, _mask_entries(np.random.default_rng(1), 16, 12))
+        for delta in (mask, projector_from_state(StateVector(4, np.full(16, 0.25, dtype=complex)))):
+            want = logdet_gradient_oracle(a, delta, spec)
+            assert abs(logdet_gradient_oracle(factored, delta) - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_the_check_reads_the_operator_it_is_given(self, monkeypatch):
         a, spec = self.problem()
         mask = derivative_mask(4, _mask_entries(np.random.default_rng(1), 16, 12))
@@ -255,7 +256,7 @@ class TestLogdetOracle:
     def test_the_check_shifts_a_by_the_product_of_the_factors(self, monkeypatch):
         a, spec = self.problem()
         mask = derivative_mask(4, _mask_entries(np.random.default_rng(1), 16, 12))
-        plain = DenseOperator(16, as_matrix(mask), hermitian=True)
+        plain = DenseOperator(16, as_matrix(mask))
         seen = []
         slogdet = np.linalg.slogdet
 
@@ -370,8 +371,8 @@ class TestHandover:
         phi = np.array([0.6, 0.8], dtype=complex)
         mat = np.outer(phi, phi.conj())
         left = phi[:, None].copy()
-        op = DenseOperator(2, mat, hermitian=True)
-        factored = DenseOperator(2, None, hermitian=True, factors=(left, left))
+        op = DenseOperator(2, mat)
+        factored = DenseOperator(2, None, factors=(left, left))
         mat[0, 0], left[0, 0] = 5.0, 5.0
         assert op.entries[0, 0] == pytest.approx(0.36)
         assert factored.factors[0][0, 0] == 0.6

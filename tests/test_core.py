@@ -6,22 +6,32 @@ import numpy as np
 import pytest
 
 from ethsim import (
+    ConfigError,
     DenseOperator,
     DomainError,
+    EthConfig,
     PauliTerm,
+    QpeConfig,
     StateVector,
+    WeightSpec,
     all_ones_delta,
     basis_state,
     commutator_norm,
     derivative_mask,
+    eigendecompose,
     from_pauli_terms,
     identity_operator,
+    matrix_function,
     operator_from_matrix,
     projector_from_state,
     qft_matrix,
     random_state,
+    reweighted_delta,
+    run_operator_form,
     uniform_superposition,
 )
+from ethsim.core import HERMITIAN_TOL
+from ethsim.spectral import spectral_commutator_norm
 from helpers import as_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -75,10 +85,70 @@ class TestRandomStates:
         assert np.mean(pops) == pytest.approx(0.25, abs=0.02)
 
 
+def _flag_cases():
+    """Every builder at three qubits, with the flag its output must measure."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    a = from_pauli_terms(3, [PauliTerm(1.5, "III"), PauliTerm(0.5, "ZII"), PauliTerm(0.3, "IXI"), PauliTerm(0.2, "IZZ")])
+    mask = derivative_mask(3, [(0, 0, 1.0), (1, 6, 0.5 - 0.25j), (6, 1, 0.5 + 0.25j)])
+    inverse = WeightSpec(kind="inverse")
+    return {
+        "qft": (lambda: qft_matrix(3), False),
+        "pauli": (lambda: a, True),
+        "identity": (lambda: identity_operator(3), True),
+        "projector": (lambda: projector_from_state(random_state(3, seed=4)), True),
+        "all-ones": (lambda: all_ones_delta(3, scale=0.7), True),
+        "mask": (lambda: mask, True),
+        "matrix-function": (lambda: matrix_function(eigendecompose(a), inverse), True),
+        "reweighted": (lambda: reweighted_delta(mask, eigendecompose(a), inverse), True),
+        "hermitian-matrix": (lambda: DenseOperator(8, x + x.conj().T), True),
+        "non-hermitian-matrix": (lambda: DenseOperator(8, x), False),
+    }
+
+
+FLAG_CASES = _flag_cases()
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The shapes of the arrays core passes to np.abs, one per Hermitian scan."""
+    from ethsim import core
+
+    shapes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, x):
+            shapes.append(np.shape(x))
+            return np.abs(x)
+
+    monkeypatch.setattr(core, "np", CountingNumpy())
+    return shapes
+
+
 class TestOperators:
-    def test_flag_validation(self):
-        with pytest.raises(DomainError):
-            DenseOperator(2, np.array([[0, 1], [0, 0]]), hermitian=True)
+    @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+    @pytest.mark.parametrize("name", list(FLAG_CASES))
+    def test_each_builders_flag_equals_the_full_scan(self, name):
+        build, flag = FLAG_CASES[name]
+        op = build()
+        mat = as_matrix(op)
+        assert op.hermitian is flag
+        assert bool(np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL) is flag
+        if flag:
+            # any Hermitian operator decomposes, whichever builder made it
+            assert np.abs(eigendecompose(op).operator() - mat).max() <= 1e-12 * max(1.0, np.abs(mat).max())
+            return
+        with pytest.raises(DomainError, match="eigendecompose requires a Hermitian operator"):
+            eigendecompose(op)
+        spec = eigendecompose(FLAG_CASES["pauli"][0]())
+        with pytest.raises(DomainError, match="needs a Hermitian observable"):
+            spectral_commutator_norm(spec, op)
+        eth = EthConfig(dt=0.3, num_steps=4, sampling="shots", shots=8)
+        with pytest.raises(ConfigError, match="shot sampling requires a Hermitian observable"):
+            run_operator_form(spec, op, WeightSpec(kind="inverse"), eth, QpeConfig(m=3, shift=0.0, scale=0.35))
 
     def test_operator_from_matrix_detects_flags(self):
         op = operator_from_matrix(SZ)
@@ -86,29 +156,22 @@ class TestOperators:
         op = operator_from_matrix(np.array([[0, 2], [0, 0]], dtype=complex))
         assert not op.hermitian
 
-    def test_operator_from_matrix_scans_once_at_the_flag_tolerance(self, monkeypatch):
-        from ethsim import core
-
-        scans = []
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def abs(self, x):
-                scans.append(np.shape(x))
-                return np.abs(x)
-
-        monkeypatch.setattr(core, "np", CountingNumpy())
+    def test_operator_from_matrix_scans_once_at_the_flag_tolerance(self, scans):
         herm = np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]])
         for skew, flag in ((0.0, True), (0.9e-12, True), (1.1e-12, False)):
             scans.clear()
             op = operator_from_matrix(herm + skew * np.array([[0, 1], [0, 0]]))
             assert op.hermitian is flag
             assert scans == [(2, 2)]
-        # an explicit flag is still validated with the same text
-        with pytest.raises(DomainError, match=r"hermitian flag set but max \|M - M\^dag\| = 1.1"):
-            DenseOperator(2, herm + 1.1e-12 * np.array([[0, 1], [0, 0]]), hermitian=True)
+
+    def test_a_projector_takes_no_scan(self, scans):
+        # L = R = phi, one array: L L^dag is exactly Hermitian without a look at it
+        assert projector_from_state(random_state(10, seed=3)).hermitian is True
+        # a writeable array given twice is copied once, and stays one array
+        col = np.ones((1024, 1), dtype=complex)
+        op = DenseOperator(1024, None, factors=(col, col))
+        assert op.hermitian is True and op.factors[0] is op.factors[1] is not col
+        assert scans == []
 
     def test_pauli_term_matrix(self):
         np.testing.assert_array_equal(PauliTerm(2.0, "X").matrix(), SX)

@@ -572,8 +572,10 @@ class TestExactSeriesKernel:
         table = reached_weight_table(amps, qpe, WeightSpec(kind="inverse")).real
         rng = np.random.default_rng(n_qubits)
         x = rng.normal(size=(a.dim, a.dim)) + 1j * rng.normal(size=(a.dim, a.dim))
-        g_eig = in_eigenbasis(spec, operator_from_matrix(x + x.conj().T)) * ((amps.conj() * table) @ amps.T)
-        return spec, g_eig, spec.eigenvectors.conj().T @ np.asarray(init.amplitudes)
+        delta_eig = in_eigenbasis(spec, operator_from_matrix(x + x.conj().T))
+        g_eig = delta_eig * ((amps.conj() * table) @ amps.T)
+        # the kernel's arguments (Delta^eig, Q = None, amps, table) and the reference's G
+        return spec, (delta_eig, None, amps, table), g_eig, spec.eigenvectors.conj().T @ np.asarray(init.amplitudes)
 
     @staticmethod
     def assert_matches(got, ref):
@@ -582,15 +584,15 @@ class TestExactSeriesKernel:
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 6])
     def test_matches_three_operand_einsum(self, mode, n_qubits):
-        spec, g_eig, coeffs = self.kernel_inputs(n_qubits, mode)
-        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 300)
+        spec, (left, right, amps, table), g_eig, coeffs = self.kernel_inputs(n_qubits, mode)
+        got = estimators._exact_series(spec, left, right, coeffs, 0.37, 300, amps, table)
         self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
     def test_concatenated_blocks_match(self, monkeypatch, mode):
-        spec, g_eig, coeffs = self.kernel_inputs(3, mode)
+        spec, (left, right, amps, table), g_eig, coeffs = self.kernel_inputs(3, mode)
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
         assert estimators._chunk_columns(spec.dim) == 7
-        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 50)  # 8 blocks, the last one short
+        got = estimators._exact_series(spec, left, right, coeffs, 0.37, 50, amps, table)  # 8 blocks, the last one short
         self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
 
 
@@ -609,26 +611,35 @@ class TestBinBlockedSeries:
         w = rng.uniform(0.5, 2.0, size=self.BINS.max() + 1)
         g_eig = (x + x.conj().T) * (self.BINS[:, None] == self.BINS[None, :]) * w[self.BINS]
         coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return spec, g_eig, coeffs / np.linalg.norm(coeffs)
+        return spec, (x + x.conj().T, None, self.AMPS, w), g_eig, coeffs / np.linalg.norm(coeffs)
 
     def test_matches_unblocked_einsum(self):
-        spec, g_eig, coeffs = self.inputs()
-        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 300, self.AMPS)
+        spec, (delta_eig, right, amps, w), g_eig, coeffs = self.inputs()
+        got = estimators._exact_series(spec, delta_eig, right, coeffs, 0.37, 300, amps, w)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
     def test_matches_across_time_blocks(self, monkeypatch):
-        spec, g_eig, coeffs = self.inputs()
+        spec, (delta_eig, right, amps, w), g_eig, coeffs = self.inputs()
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
-        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 50, self.AMPS)
+        got = estimators._exact_series(spec, delta_eig, right, coeffs, 0.37, 50, amps, w)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
+
+    def test_mixed_rows_make_one_block(self):
+        # one dense row among one-hot rows: G no longer vanishes across bins, so it is one block
+        spec, (delta_eig, _, amps, w), _, coeffs = self.inputs()
+        amps = amps.copy()
+        amps[4] = np.random.default_rng(5).normal(size=amps.shape[1]) + 0j
+        g_eig = delta_eig * ((amps.conj() * w) @ amps.T)
+        assert np.count_nonzero(g_eig[4] * (self.BINS != self.BINS[4]))
+        got = estimators._exact_series(spec, delta_eig, None, coeffs, 0.37, 300, amps, w)
+        TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
     @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
     @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
     def test_register_rows_of_either_mode(self, mode):
         # exact binning: one-hot rows at register_indices, several bins; circuit: dense rows, one bin
-        spec, g_eig, coeffs = TestExactSeriesKernel().kernel_inputs(6, mode)
+        spec, (left, right, amps, table), g_eig, coeffs = TestExactSeriesKernel().kernel_inputs(6, mode)
         qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
-        amps = register_amplitudes(spec, qpe)
         one_hot = np.count_nonzero(amps, axis=1) == 1
         if mode == "exact-binning":
             assert one_hot.all()
@@ -636,7 +647,7 @@ class TestBinBlockedSeries:
             assert len(set(register_indices(spec, qpe))) > 1
         else:
             assert not one_hot.any()
-        got = estimators._exact_series(spec, g_eig, coeffs, 0.37, 300, amps)
+        got = estimators._exact_series(spec, left, right, coeffs, 0.37, 300, amps, table)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
 
@@ -721,7 +732,7 @@ def _span_observables(phi):
     """Observables of every shape the shot path meets, with their span's rank r."""
     amp = phi.amplitudes[:, None]
     # |phi><phi| through factors whose columns repeat: R is rank-deficient
-    repeated = DenseOperator(phi.dim, None, hermitian=True, factors=(np.hstack([amp, amp]), 0.5 * np.hstack([amp, amp])))
+    repeated = DenseOperator(phi.dim, None, factors=(np.hstack([amp, amp]), 0.5 * np.hstack([amp, amp])))
     return {
         "projector": (projector_from_state(phi), 1),
         "mask": (derivative_mask(3, MASK_RANK5), 5),

@@ -147,21 +147,14 @@ class TestFactorsAreTheDefinition:
         # L R^dag + R L^dag is Hermitian; L R^dag alone is not
         return (np.hstack([left, right]), np.hstack([right, left])) if hermitian else (left, right)
 
-    def test_a_non_hermitian_product_with_the_flag_raises(self):
-        left, right = self.factors(hermitian=False)
-        full = left @ right.conj().T
-        with pytest.raises(DomainError, match=r"hermitian flag set but max \|M - M\^dag\| = ") as err:
-            DenseOperator(8, None, hermitian=True, factors=(left, right))
-        assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(np.abs(full - full.conj().T).max(), rel=1e-12)
-
-    def test_an_unset_flag_comes_from_the_factored_scan(self):
+    def test_the_flag_comes_from_the_factored_scan(self):
         for hermitian in (True, False):
-            op = DenseOperator(8, None, hermitian=None, factors=self.factors(hermitian))
+            op = DenseOperator(8, None, factors=self.factors(hermitian))
             assert op.hermitian is hermitian
             assert op.entries is None
 
     def test_all_ones_with_an_imaginary_scale_raises(self):
-        with pytest.raises(DomainError, match="hermitian flag set"):
+        with pytest.raises(DomainError, match=r"scale must be real and finite, got 1j"):
             all_ones_delta(2, 1j)
 
     def test_a_non_hermitian_mask_keeps_its_error_text(self):
@@ -203,7 +196,7 @@ def test_operator_form_with_and_without_factors(kind, mode):
     a = _operator(4, False)
     delta = _delta(kind, 4)
     assert delta.factors is not None
-    plain = DenseOperator(delta.dim, as_matrix(delta), hermitian=True)
+    plain = DenseOperator(delta.dim, as_matrix(delta))
     init = InitialState(kind="haar", seed=8)
     eth = EthConfig(dt=0.37, num_steps=200, initial_state=init)
     qpe = QpeConfig(m=3, shift=0.9, scale=0.5, mode=mode)
@@ -221,8 +214,8 @@ def test_commutator_norm_needs_a_hermitian_observable():
     upper = operator_from_matrix(np.triu(np.ones((4, 4))))
     with pytest.raises(DomainError, match="needs a Hermitian observable"):
         spectral_commutator_norm(spec, upper)
-    unflagged = DenseOperator(4, _delta("dense", 2).entries)
-    assert _close(spectral_commutator_norm(spec, unflagged), commutator_norm(_operator(2, False), unflagged))
+    dense = _delta("dense", 2)
+    assert _close(spectral_commutator_norm(spec, dense), commutator_norm(_operator(2, False), dense))
 
 
 def _qft_all_ones(n_qubits, scale):
@@ -231,7 +224,7 @@ def _qft_all_ones(n_qubits, scale):
     d0 = np.zeros_like(f)
     d0[0, 0] = 1.0
     mat = scale * (f.conj().T @ d0 @ f)
-    return DenseOperator(f.shape[0], 0.5 * (mat + mat.conj().T), hermitian=True)
+    return DenseOperator(f.shape[0], 0.5 * (mat + mat.conj().T))
 
 
 class TestAllOnesFactors:

@@ -22,7 +22,7 @@ from ethsim import (
     trace_weighted,
     uniform_superposition,
 )
-from ethsim.core import DenseOperator, all_ones_delta, basis_state, derivative_mask, identity_operator
+from ethsim.core import all_ones_delta, basis_state, derivative_mask, identity_operator, projector_from_state
 from helpers import as_matrix
 
 DYADIC_2Q = from_pauli_terms(
@@ -36,13 +36,9 @@ class TestEigendecompose:
         with pytest.raises(DomainError):
             eigendecompose(bad)
 
-    def test_requires_the_hermitian_flag(self):
-        # Hermitian entries are not enough: the flag, checked at construction, is what is read
-        unflagged = DenseOperator(2, np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex))
-        with pytest.raises(DomainError, match="flagged Hermitian"):
-            eigendecompose(unflagged)
-        with pytest.raises(DomainError, match="hermitian flag set"):
-            DenseOperator(2, np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex), hermitian=True)
+    def test_a_factored_operator_decomposes_through_its_matrix(self):
+        spec = eigendecompose(projector_from_state(uniform_superposition(2)))
+        np.testing.assert_allclose(spec.eigenvalues, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_dyadic_spectrum(self):
         spec = eigendecompose(DYADIC_2Q)

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -110,3 +111,13 @@ def test_readme_block_budgets_equal_the_module_constants():
         assert values and all(int(v) * 2**20 == constants[name] for v in values), name
     rows = re.findall(r"blocks of (\d+)\s+rows \(`_CSV_ROWS`", " ".join(readme.split()))
     assert rows and all(int(v) == ethsim.fileio._CSV_ROWS for v in rows)
+
+
+def test_readme_gives_the_dense_operator_constructor():
+    """The DenseOperator call the README's "Library use" section spells out
+    takes exactly the constructor's parameters, with their defaults."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    documented = re.search(r"`DenseOperator\(([^)]*)\)`", section).group(1)
+    parameters = inspect.signature(ethsim.DenseOperator).parameters.values()
+    assert documented == ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in parameters)
