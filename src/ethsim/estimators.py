@@ -248,17 +248,17 @@ def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: 
             yield (offsets[:, :, None] * table[:, None, :]).reshape(eigenvalues.size, -1)[:, lo:hi]
 
 
-def _exact_series(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray], coeffs: np.ndarray, dt: float, num_steps: int, amps: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-step c(t_j)^dag G c(t_j) for G = Delta^eig o (conj(a) W a^T), the
-    sandwich <q,0| E^dag (Delta x W) E |p,0> in A's eigenbasis: Delta^eig =
-    left right^dag (left itself when right is None), a = amps and W = diag(table).
+def _series_kernel(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray], amps: np.ndarray, table: np.ndarray):
+    """G = Delta^eig o (conj(a) W a^T), the sandwich <q,0| E^dag (Delta x W)
+    E |p,0> in A's eigenbasis: Delta^eig = left right^dag (left itself when
+    right is None), a = amps and W = diag(table), as (order, splits, blocks).
 
     G_qp vanishes unless rows a_q and a_p share register support. When every
     row of amps is one-hot (exact binning) G is one block per bin, w_k
-    Delta^eig on bin k; otherwise (dense circuit rows) it is one block. Sorted
-    by block once, each block's rows c_k of a block of evolved coefficients
-    are a view: G_kk c_k, then a column dot with c_k conjugated in place. Each
-    block of evolved coefficients is dropped before the next one is built.
+    Delta^eig on bin k; otherwise (dense circuit rows) it is one block. The
+    eigen-indices sorted by block are order, np.split(order, splits) the
+    blocks' indices, and blocks their G_kk. It depends on no initial state,
+    so a run builds it once for all its repetitions.
     """
     one_hot = np.all(np.count_nonzero(amps, axis=1) == 1)
     bins = np.abs(amps).argmax(axis=1) if one_hot else np.zeros(spec.dim, int)
@@ -266,6 +266,16 @@ def _exact_series(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray],
     splits = np.flatnonzero(np.diff(bins[order])) + 1
     blocks = [eigenbasis_block(left, right, idx) * ((amps[idx].conj() * table) @ amps[idx].T)
               for idx in np.split(order, splits)]
+    return order, splits, blocks
+
+
+def _exact_series(spec: Spectrum, kernel: tuple, coeffs: np.ndarray, dt: float, num_steps: int) -> np.ndarray:
+    """Per-step c(t_j)^dag G c(t_j) for G = _series_kernel(...). Sorted by
+    block, each block's rows c_k of a block of evolved coefficients are a
+    view: G_kk c_k, then a column dot with c_k conjugated in place. Each
+    block of evolved coefficients is dropped before the next one is built.
+    """
+    order, splits, blocks = kernel
     series = np.zeros(num_steps)
     start = 0
     for c in _evolved(spec.eigenvalues[order], coeffs[order], dt, num_steps):
@@ -455,10 +465,12 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     table = table.real
     if eth.sampling == "shots":
         values, probabilities = _shot_outcomes(spec, delta, table, amps)
+    else:
+        kernel = _series_kernel(spec, left, right, amps, table)
 
     def draw(rep, coeffs):
         if eth.sampling == "exact":
-            return _exact_series(spec, left, right, coeffs, eth.dt, eth.num_steps, amps, table), 0.0
+            return _exact_series(spec, kernel, coeffs, eth.dt, eth.num_steps), 0.0
         # one generator per repetition, drawn in step order: the series is the
         # same for any block width and a prefix of any longer run's
         rng = substream(eth.seed, "shots", rep)

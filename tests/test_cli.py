@@ -169,6 +169,28 @@ class TestRunCommand:
         assert "op.mat" in err and "finite" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"\xff2\n1.0 0.0 0.0 0.0\n0.0 0.0 1.0 0.0\n", "first line must be the dimension"),
+            # a small file: a text-mode reader decoded this row while reading the header
+            (b"2\n1.0 0.0 0.0 0.0\n0.0 0.0 \xff 0.0\n", "expected 2 rows of 4 numbers (could not convert string '\xff' to float64 at row 1, column 3.)"),
+        ],
+    )
+    def test_a_byte_that_is_not_text_names_its_line(self, tmp_path, capsys, body, message):
+        (tmp_path / "op.mat").write_bytes(body)
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text(
+            FAST_INVERSE_CFG.replace(
+                "problem.kind = pauli-terms\nproblem.terms = 1.5 I; -0.5 Z",
+                "problem.kind = dense-matrix-file\nproblem.path = op.mat",
+            )
+        )
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error [config]")
+        assert "op.mat" in err and message in err
+
     def test_singular_operator_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "singular.cfg"
         cfg.write_text(

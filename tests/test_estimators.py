@@ -46,6 +46,7 @@ from ethsim.estimators import (
     _CHUNK_BYTES,
     _chunk_columns,
     _resolve_initial_state,
+    _series_kernel as series_kernel,
     _shot_outcomes,
     running_mean,
     running_standard_error,
@@ -66,7 +67,7 @@ from ethsim.phase_estimation import (
 )
 from ethsim.presets import build_preset
 from ethsim.rng import substream
-from ethsim.spectral import Spectrum, in_eigenbasis
+from ethsim.spectral import Spectrum, eigenbasis_block, eigenbasis_factors, in_eigenbasis
 from helpers import as_matrix
 
 DYADIC_2Q = from_pauli_terms(
@@ -585,14 +586,14 @@ class TestExactSeriesKernel:
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 6])
     def test_matches_three_operand_einsum(self, mode, n_qubits):
         spec, (left, right, amps, table), g_eig, coeffs = self.kernel_inputs(n_qubits, mode)
-        got = estimators._exact_series(spec, left, right, coeffs, 0.37, 300, amps, table)
+        got = estimators._exact_series(spec, estimators._series_kernel(spec, left, right, amps, table), coeffs, 0.37, 300)
         self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
     def test_concatenated_blocks_match(self, monkeypatch, mode):
         spec, (left, right, amps, table), g_eig, coeffs = self.kernel_inputs(3, mode)
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
         assert estimators._chunk_columns(spec.dim) == 7
-        got = estimators._exact_series(spec, left, right, coeffs, 0.37, 50, amps, table)  # 8 blocks, the last one short
+        got = estimators._exact_series(spec, estimators._series_kernel(spec, left, right, amps, table), coeffs, 0.37, 50)  # 8 blocks, the last one short
         self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
 
 
@@ -615,13 +616,13 @@ class TestBinBlockedSeries:
 
     def test_matches_unblocked_einsum(self):
         spec, (delta_eig, right, amps, w), g_eig, coeffs = self.inputs()
-        got = estimators._exact_series(spec, delta_eig, right, coeffs, 0.37, 300, amps, w)
+        got = estimators._exact_series(spec, estimators._series_kernel(spec, delta_eig, right, amps, w), coeffs, 0.37, 300)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
     def test_matches_across_time_blocks(self, monkeypatch):
         spec, (delta_eig, right, amps, w), g_eig, coeffs = self.inputs()
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
-        got = estimators._exact_series(spec, delta_eig, right, coeffs, 0.37, 50, amps, w)
+        got = estimators._exact_series(spec, estimators._series_kernel(spec, delta_eig, right, amps, w), coeffs, 0.37, 50)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
 
     def test_mixed_rows_make_one_block(self):
@@ -631,7 +632,7 @@ class TestBinBlockedSeries:
         amps[4] = np.random.default_rng(5).normal(size=amps.shape[1]) + 0j
         g_eig = delta_eig * ((amps.conj() * w) @ amps.T)
         assert np.count_nonzero(g_eig[4] * (self.BINS != self.BINS[4]))
-        got = estimators._exact_series(spec, delta_eig, None, coeffs, 0.37, 300, amps, w)
+        got = estimators._exact_series(spec, estimators._series_kernel(spec, delta_eig, None, amps, w), coeffs, 0.37, 300)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
 
     @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
@@ -647,8 +648,44 @@ class TestBinBlockedSeries:
             assert len(set(register_indices(spec, qpe))) > 1
         else:
             assert not one_hot.any()
-        got = estimators._exact_series(spec, left, right, coeffs, 0.37, 300, amps, table)
+        got = estimators._exact_series(spec, estimators._series_kernel(spec, left, right, amps, table), coeffs, 0.37, 300)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 300))
+
+
+@pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+@pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+class TestSeriesKernelOncePerRun:
+    """An exact operator-form run builds G once and shares it between its repetitions."""
+
+    REPS = 8
+
+    def run(self, mode):
+        a, _, _ = _merged_problem(3, 3, seed=43)
+        mask = derivative_mask(3, [(0, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)])
+        eth = EthConfig(dt=0.37, num_steps=64, repetitions=self.REPS, seed=5, initial_state=InitialState(kind="haar"))
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        return a, mask, eth, qpe, run_operator_form(a, mask, WeightSpec(kind="inverse"), eth, qpe)
+
+    def test_the_blocks_are_built_once(self, monkeypatch, mode):
+        kernels, blocks = [], []
+        monkeypatch.setattr(estimators, "_series_kernel", lambda *args: kernels.append(args) or series_kernel(*args))
+        monkeypatch.setattr(estimators, "eigenbasis_block", lambda *args: blocks.append(args) or eigenbasis_block(*args))
+        self.run(mode)
+        assert len(kernels) == 1
+        # one block per occupied bin in exact binning, one block in circuit mode
+        amps = kernels[0][3]
+        assert len(blocks) == (len(set(np.abs(amps).argmax(axis=1))) if mode == "exact-binning" else 1)
+
+    def test_each_repetition_is_bit_identical_to_a_fresh_kernel(self, mode):
+        a, mask, eth, qpe, out = self.run(mode)
+        spec = eigendecompose(a)
+        left, right = eigenbasis_factors(spec, mask)
+        amps = register_amplitudes(spec, qpe)
+        table = reached_weight_table(amps, qpe, WeightSpec(kind="inverse")).real
+        for rep in range(self.REPS):
+            coeffs = spec.coefficients(_resolve_initial_state(eth, 3, rep).amplitudes)
+            fresh = estimators._exact_series(spec, series_kernel(spec, left, right, amps, table), coeffs, eth.dt, eth.num_steps)
+            assert out.series[rep * eth.num_steps : (rep + 1) * eth.num_steps].tobytes() == fresh.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")

@@ -89,8 +89,8 @@ def test_readme_library_use_names_are_exported():
 
 def test_readme_block_budgets_equal_the_module_constants():
     """Each block budget the README states, by name and in its prose, and the
-    series writer's block height are the module constants' values, so a
-    changed budget cannot leave stale text."""
+    series writer's block height and least span height are the module
+    constants' values, so a changed budget cannot leave stale text."""
     readme = (ROOT / "README.md").read_text()
     constants = {
         "_CHUNK_BYTES": ethsim.estimators._CHUNK_BYTES,
@@ -111,6 +111,8 @@ def test_readme_block_budgets_equal_the_module_constants():
         assert values and all(int(v) * 2**20 == constants[name] for v in values), name
     rows = re.findall(r"blocks of (\d+)\s+rows \(`_CSV_ROWS`", " ".join(readme.split()))
     assert rows and all(int(v) == ethsim.fileio._CSV_ROWS for v in rows)
+    spans = re.findall(r"at least (\d+) rows \(`_SPAN_ROWS`", " ".join(readme.split()))
+    assert spans and all(int(v) == ethsim.fileio._SPAN_ROWS for v in spans)
 
 
 def test_readme_gives_the_dense_operator_constructor():
