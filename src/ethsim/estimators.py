@@ -25,7 +25,7 @@ from .core import DenseOperator, StateVector, projector_from_state, random_state
 from .errors import ConfigError, DomainError
 from .phase_estimation import (
     QpeConfig,
-    energy_table,
+    decoded_energies,
     reached_weight_table,
     register_amplitudes,
     register_weights,
@@ -203,17 +203,6 @@ def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVect
     base = init.seed if init.seed is not None else eth.seed
     seed = base if rep == 0 else derive_seed(base, "restart", rep)
     return random_state(n_qubits, seed, ensemble=init.kind)
-
-
-def _effective_weights(spec: Spectrum, w: WeightSpec, qpe: QpeConfig, amps: np.ndarray) -> np.ndarray:
-    """Row weights of Delta_eff^eig = diag(weights) Delta^eig: the weight at the
-    decoded bin energies (exact binning: the one-hot rows of amps) or at the
-    true eigenvalues. Delta_eff is never formed: the diagonal ensemble reads
-    only the weighted diagonal and the blocks of degeneracy groups, and within
-    a group every row carries the same weight."""
-    binned = qpe.mode == "exact-binning"
-    energies = energy_table(qpe)[np.abs(amps).argmax(axis=1)] if binned else spec.eigenvalues
-    return w.evaluate(energies, spec.spectral_range)
 
 
 def _chunk_columns(dim: int) -> int:
@@ -413,9 +402,12 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) 
     Per repetition: resolve the initial state r, take c = V^dag r, sample the
     series with draw(rep, c) -> (samples, register residual) and record the
     diagonal ensemble of Delta_eff^eig = diag(weights) P Q^dag, given as
-    eff = (P, Q, weights). The concatenated series (one repetition's own
-    array, uncopied) then gets its running mean, SE and verdict; commutator()
-    is called once, after the series.
+    eff = (P, Q, weights), weights being w at the decoded_energies. Delta_eff
+    is never formed: the diagonal ensemble reads only the weighted diagonal
+    and the blocks of degeneracy groups, and within a group every row carries
+    the same weight. The concatenated series (one repetition's own array,
+    uncopied) then gets its running mean, SE and verdict; commutator() is
+    called once, after the series.
     """
     all_samples = []
     diag_targets = []
@@ -483,7 +475,7 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
         totals = map(lambda c: (rng.multinomial(eth.shots, probabilities(c)) * values).sum(axis=1), blocks)
         return np.concatenate(list(totals)) / eth.shots, 0.0
 
-    eff = (left, right, _effective_weights(spec, w, qpe, amps))
+    eff = (left, right, w.evaluate(decoded_energies(spec, qpe, amps), spec.spectral_range))
     return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, delta))
 
 
@@ -504,7 +496,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
     prob = np.abs(amps) ** 2
     b = spec.coefficients(phi.amplitudes)
     # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag: P = Q = b
-    eff = (b[:, None], b[:, None], _effective_weights(spec, w, qpe, amps))
+    eff = (b[:, None], b[:, None], w.evaluate(decoded_energies(spec, qpe, amps), spec.spectral_range))
 
     def draw(rep, coeffs):
         # Bin occupancies do not depend on t. After entangling, weighting the

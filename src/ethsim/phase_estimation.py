@@ -6,8 +6,9 @@ them, and weights act on the decoded bin energies rather than on the true
 eigenvalues. Dyadic spectra make the binning exact; the circuit mode also
 reproduces the finite-register leakage of real phase estimation.
 
-The estimators work from register_amplitudes, reached_weight_table and
-register_weights; the per-state pipeline and the dense joint-space matrices
+This module alone knows the register mode. The estimators work from
+register_amplitudes, reached_weight_table, register_weights and
+decoded_energies; the per-state pipeline and the dense joint-space matrices
 compute the same quantities step by step and are kept as the tests'
 references.
 """
@@ -67,21 +68,29 @@ class QpeConfig:
         return (self.register_size - 1) / (self.register_size * self.scale)
 
 
+def _phases(energies, config: QpeConfig) -> np.ndarray:
+    """phi = (E - shift) * scale for every energy, raising for the first one outside [0, 1)."""
+    energies = np.asarray(energies, dtype=float)
+    phi = (energies - config.shift) * config.scale
+    outside = ~((0.0 <= phi) & (phi < 1.0))
+    if outside.any():
+        first = int(np.argmax(outside))
+        raise ConfigError(
+            f"phase {phi.flat[first]} for energy {energies.flat[first]} lies outside [0, 1); adjust shift/scale"
+        )
+    return phi
+
+
 def phase_map(config: QpeConfig, energy: float) -> int:
     """Register index for an energy: round(phi * 2**m) mod 2**m."""
-    phi = (energy - config.shift) * config.scale
-    if not 0.0 <= phi < 1.0:
-        raise ConfigError(
-            f"phase {phi} for energy {energy} lies outside [0, 1); adjust shift/scale"
-        )
-    return int(np.round(phi * config.register_size)) % config.register_size
+    return int(np.round(_phases(energy, config) * config.register_size)) % config.register_size
 
 
 def energy_of_index(config: QpeConfig, index: int) -> float:
     """Decoded bin energy, the exact inverse of phase_map on dyadic spectra."""
     if not 0 <= index < config.register_size:
         raise DomainError(f"register index {index} outside [0, {config.register_size})")
-    return config.shift + index / (config.register_size * config.scale)
+    return float(energy_table(config)[index])
 
 
 def energy_table(config: QpeConfig) -> np.ndarray:
@@ -97,15 +106,7 @@ def register_indices(spec: Spectrum, config: QpeConfig) -> np.ndarray:
     distinct degeneracy groups still share a bin the collision is reported
     through one PhaseCollisionWarning per call, never silently absorbed.
     """
-    # phase_map over the whole spectrum in one array expression, with its error for the first bad energy
-    phi = (spec.eigenvalues - config.shift) * config.scale
-    outside = ~((0.0 <= phi) & (phi < 1.0))
-    if outside.any():
-        first = int(np.argmax(outside))
-        raise ConfigError(
-            f"phase {phi[first]} for energy {spec.eigenvalues[first]} lies outside [0, 1); adjust shift/scale"
-        )
-    indices = np.round(phi * config.register_size).astype(int) % config.register_size
+    indices = np.round(_phases(spec.eigenvalues, config) * config.register_size).astype(int) % config.register_size
     owner = {}  # bin -> first degeneracy group mapped to it
     colliding = []
     for gi, group in enumerate(spec.degeneracy_groups):
@@ -165,19 +166,12 @@ def _transform_register_rows(rows: np.ndarray, spec: Spectrum, config: QpeConfig
     n_levels, m_dim = rows.shape
     if config.mode == "exact-binning":
         kp = register_indices(spec, config)
-        base = np.arange(m_dim)[None, :]
-        if inverse:
-            idx = (base + kp[:, None]) % m_dim
-        else:
-            idx = (base - kp[:, None]) % m_dim
+        idx = (np.arange(m_dim)[None, :] + (kp if inverse else -kp)[:, None]) % m_dim
         return np.take_along_axis(rows, idx, axis=1)
 
     # circuit mode: H then controlled phase powers then inverse DFT
-    phi = (spec.eigenvalues - config.shift) * config.scale
-    if np.any(phi < 0.0) or np.any(phi >= 1.0):
-        raise ConfigError("an eigenvalue phase lies outside [0, 1); adjust shift/scale")
     k = np.arange(m_dim)
-    d = np.exp(2.0j * np.pi * np.outer(phi, k))
+    d = np.exp(2.0j * np.pi * np.outer(_phases(spec.eigenvalues, config), k))
     h = _hadamard_matrix(config.m)
     f = qft_matrix(config.m).entries
     if inverse:
@@ -231,7 +225,8 @@ def register_weights(occupancy: np.ndarray, config: QpeConfig, w: WeightSpec, po
 
     occupancy[k] is the probability a state holds in register bin k. Bins
     holding less than OCCUPANCY_EPS are numerically empty and get multiplier
-    zero. Under power "half" a negative weight on an occupied bin raises
+    zero, so under power "one" the multipliers are reached_weight_table's.
+    Under power "half" a negative weight on an occupied bin raises
     SingularityError unless the policy is "regularize", which takes the
     complex square root. Returns (multipliers, norm_factor), the norm factor
     being the norm of the weighted state.
@@ -242,23 +237,17 @@ def register_weights(occupancy: np.ndarray, config: QpeConfig, w: WeightSpec, po
     if not np.any(occupied):
         raise DomainError("joint state has no occupied register slice")
 
-    energies = energy_table(config)[occupied]
-    base = w.evaluate(energies, config.representable_span)
+    full = _bin_weights(occupied, config, w)
     if power == "half":
-        if not np.iscomplexobj(base) and np.any(base < 0):
+        if not np.iscomplexobj(full) and np.any(full < 0):
             if w.policy == "reject":
-                bad = energies[base < 0][0]
+                bad = energy_table(config)[full < 0][0]
                 raise SingularityError(
                     f"negative weight at decoded energy {bad} under half power; "
                     "regularize to allow complex weights"
                 )
-            base = base.astype(complex)
-        multipliers = np.sqrt(base)
-    else:
-        multipliers = base
-
-    full = np.zeros(config.register_size, dtype=complex if np.iscomplexobj(multipliers) else float)
-    full[occupied] = multipliers
+            full = full.astype(complex)
+        full = np.sqrt(full)
     norm_factor = float(np.sqrt(occupancy @ np.abs(full) ** 2))
     if norm_factor <= 1e-14:
         raise SingularityError("weighting annihilated every occupied register slice")
@@ -368,11 +357,24 @@ def reached_weight_table(amps: np.ndarray, config: QpeConfig, w: WeightSpec) -> 
     a singular weight there raises; every other bin holds zero, since no
     amplitude lands on it.
     """
-    reached = np.sum(np.abs(amps) ** 2, axis=0) > OCCUPANCY_EPS
+    return _bin_weights(np.sum(np.abs(amps) ** 2, axis=0) > OCCUPANCY_EPS, config, w)
+
+
+def _bin_weights(reached: np.ndarray, config: QpeConfig, w: WeightSpec) -> np.ndarray:
+    """w at the decoded energies of the reached bins, zero on every other bin."""
     values = w.evaluate(energy_table(config)[reached], config.representable_span)
     table = np.zeros(config.register_size, dtype=np.result_type(values, float))
     table[reached] = values
     return table
+
+
+def decoded_energies(spec: Spectrum, config: QpeConfig, amps: np.ndarray) -> np.ndarray:
+    """The energy each eigenvalue's weight sees, read off its register row
+    a[p, :] = amps[p]: the decoded energy of its one-hot bin in exact
+    binning, the eigenvalue itself in circuit mode."""
+    if config.mode == "circuit":
+        return spec.eigenvalues
+    return energy_table(config)[np.abs(amps).argmax(axis=1)]
 
 
 def joint_observable_matrix(delta: DenseOperator, spec: Spectrum, config: QpeConfig, w: WeightSpec) -> np.ndarray:

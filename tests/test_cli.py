@@ -191,6 +191,23 @@ class TestRunCommand:
         assert err.startswith("error [config]")
         assert "op.mat" in err and message in err
 
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_phase_outside_the_register_names_its_energy(self, tmp_path, capsys, mode):
+        # the top eigenvalue 5 maps to phase 5 * 0.25 = 1.25
+        write_matrix_file(tmp_path / "op.mat", np.diag([1.0, 5.0]).astype(complex))
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            FAST_INVERSE_CFG.replace(
+                "problem.kind = pauli-terms\nproblem.terms = 1.5 I; -0.5 Z",
+                "problem.kind = dense-matrix-file\nproblem.path = op.mat",
+            ).replace("qpe.m = 2", f"qpe.m = 2\nqpe.mode = {mode}")
+        )
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error [config]")
+        assert "phase 1.25 for energy 5.0 lies outside [0, 1); adjust shift/scale" in err
+        assert not (tmp_path / "tiny-inverse_summary.json").exists()
+
     def test_singular_operator_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "singular.cfg"
         cfg.write_text(

@@ -33,13 +33,19 @@ from ethsim import (
 )
 from ethsim.core import all_ones_delta, identity_operator
 from ethsim.phase_estimation import (
+    OCCUPANCY_EPS,
     _hadamard_matrix,
+    decoded_energies,
     energy_of_index,
     entangle_matrix,
     joint_observable_matrix,
     qpe_sandwich_matrix,
+    reached_weight_table,
+    register_amplitudes,
+    register_weights,
     upsilon_table,
 )
+from ethsim.weights import WEIGHT_KINDS
 from helpers import as_matrix
 
 SIGMA_Z = eigendecompose(from_pauli_terms(1, [PauliTerm(1.0, "Z")]))
@@ -330,3 +336,110 @@ class TestUpsilonTable:
         spec = eigendecompose(operator_from_matrix(np.diag([0.0, 1.0]).astype(complex)))
         with pytest.raises(SingularityError):
             upsilon_table(spec, QpeConfig(m=3, shift=0.0, scale=0.5), WeightSpec(kind="inverse"))
+
+
+def _straddling_amplitudes():
+    """Two register rows over 8 bins whose column sums hold exact zeros, a
+    nonzero sum below OCCUPANCY_EPS, sums just either side of it and O(1)
+    sums; bin 4 (decoded energy 0 under shift -0.5) stays unreached."""
+    eps = OCCUPANCY_EPS
+    rows = np.array(
+        [
+            [0.0, eps * (1 + 1e-6), eps * (1 - 1e-6), 0.25, 1e-30, 0.35, eps * 0.5, 0.0],
+            [0.0, 0.0, 0.0, 0.15, 0.0, 0.25, eps * 0.5 * (1 + 1e-6), 0.0],
+        ]
+    )
+    phases = np.exp(1j * np.arange(16).reshape(2, 8))
+    return np.sqrt(rows) * phases
+
+
+class TestSharedBinWeightTable:
+    """register_weights at power "one" is reached_weight_table, bit for bit."""
+
+    AMPS = _straddling_amplitudes()
+    OCC = np.sum(np.abs(AMPS) ** 2, axis=0)
+    POSITIVE = QpeConfig(m=3, shift=0.5, scale=1.0)  # decoded energies 0.5 .. 1.375
+    STRADDLING = QpeConfig(m=3, shift=-0.5, scale=1.0)  # -0.5 .. 0.375, bin 4 at 0
+    CASES = [
+        (kind, policy, config)
+        for kind in WEIGHT_KINDS
+        for policy in ("reject", "regularize")
+        for config in ("POSITIVE", "STRADDLING")
+        # the one combination whose reached bins do not evaluate: 1/sqrt(E) at E < 0
+        if (kind, policy, config) != ("inverse_sqrt", "reject", "STRADDLING")
+    ]
+
+    @staticmethod
+    def weight(kind, policy):
+        return WeightSpec(kind=kind, policy=policy, fn=(lambda e: np.cos(3.0 * e)) if kind == "custom" else None)
+
+    def test_the_occupancies_straddle_the_threshold(self):
+        occ = self.OCC
+        assert np.any(occ == 0.0)
+        assert np.any((occ > 0.0) & (occ < OCCUPANCY_EPS))
+        assert np.any((occ > OCCUPANCY_EPS) & (occ < 1.001 * OCCUPANCY_EPS))
+        assert np.any((occ < OCCUPANCY_EPS) & (occ > 0.999 * OCCUPANCY_EPS))
+        assert occ[4] < OCCUPANCY_EPS
+
+    @pytest.mark.parametrize("kind,policy,config", CASES)
+    def test_power_one_is_the_reached_table(self, kind, policy, config):
+        qpe, w = getattr(self, config), self.weight(kind, policy)
+        table = reached_weight_table(self.AMPS, qpe, w)
+        full, norm_factor = register_weights(self.OCC, qpe, w)
+        assert full.dtype == table.dtype
+        assert full.tobytes() == table.tobytes()
+        assert np.all(table[self.OCC <= OCCUPANCY_EPS] == 0.0)
+        reached = self.OCC > OCCUPANCY_EPS
+        np.testing.assert_array_equal(table[reached], w.evaluate(energy_table(qpe)[reached], qpe.representable_span))
+        assert norm_factor == np.sqrt(self.OCC @ np.abs(table) ** 2)
+
+    @pytest.mark.parametrize("kind,policy,config", [case for case in CASES if case[1] == "regularize"])
+    def test_half_power_is_the_root_of_the_reached_table(self, kind, policy, config):
+        qpe, w = getattr(self, config), self.weight(kind, policy)
+        table = reached_weight_table(self.AMPS, qpe, w)
+        if not np.iscomplexobj(table) and np.any(table < 0):
+            table = table.astype(complex)
+        full, _ = register_weights(self.OCC, qpe, w, power="half")
+        assert full.tobytes() == np.sqrt(table).tobytes()
+
+    def test_the_unevaluable_combination_raises_in_both(self):
+        w = self.weight("inverse_sqrt", "reject")
+        with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -0.375"):
+            reached_weight_table(self.AMPS, self.STRADDLING, w)
+        with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -0.375"):
+            register_weights(self.OCC, self.STRADDLING, w)
+
+    def test_half_power_negative_weight_message(self):
+        with pytest.raises(SingularityError) as err:
+            register_weights(self.OCC, self.STRADDLING, WeightSpec(kind="identity_of_e"), power="half")
+        assert str(err.value) == (
+            "negative weight at decoded energy -0.375 under half power; regularize to allow complex weights"
+        )
+
+    def test_no_occupied_slice_message(self):
+        with pytest.raises(DomainError) as err:
+            register_weights(np.where(self.OCC > OCCUPANCY_EPS, OCCUPANCY_EPS, self.OCC), self.POSITIVE, WeightSpec())
+        assert str(err.value) == "joint state has no occupied register slice"
+
+    @pytest.mark.parametrize("power", ["one", "half"])
+    def test_annihilated_slices_message(self, power):
+        w = WeightSpec(kind="custom", fn=lambda e: 0.0 * e)
+        with pytest.raises(SingularityError) as err:
+            register_weights(self.OCC, self.POSITIVE, w, power=power)
+        assert str(err.value) == "weighting annihilated every occupied register slice"
+        np.testing.assert_array_equal(reached_weight_table(self.AMPS, self.POSITIVE, w), 0.0)
+
+
+class TestDecodedEnergies:
+    SPEC = eigendecompose(operator_from_matrix(np.diag([0.9, 1.3, 2.1, 2.6]).astype(complex)))
+
+    def test_exact_binning_reads_the_decoded_bin_energy(self):
+        qpe = QpeConfig(m=3, shift=0.5, scale=0.25)
+        got = decoded_energies(self.SPEC, qpe, register_amplitudes(self.SPEC, qpe))
+        np.testing.assert_array_equal(got, energy_table(qpe)[register_indices(self.SPEC, qpe)])
+        assert not np.array_equal(got, self.SPEC.eigenvalues)
+
+    def test_circuit_mode_reads_the_eigenvalues(self):
+        qpe = QpeConfig(m=3, shift=0.5, scale=0.25, mode="circuit")
+        got = decoded_energies(self.SPEC, qpe, register_amplitudes(self.SPEC, qpe))
+        np.testing.assert_array_equal(got, self.SPEC.eigenvalues)
