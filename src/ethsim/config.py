@@ -27,12 +27,11 @@ import numpy as np
 
 from .core import PauliTerm
 from .errors import ConfigError
-from .estimators import EthConfig, InitialState
+from .estimators import FORMS, TARGET_ROWS, EthConfig, InitialState
 from .phase_estimation import QpeConfig
 from .weights import WeightSpec
 
-TARGETS = ("time-average", "inverse-expectation", "logdet-gradient")
-FORMS = ("operator", "vector")
+TARGETS = tuple(TARGET_ROWS)
 PROBLEM_KINDS = ("pauli-terms", "dense-matrix-file", "preset")
 DELTA_KINDS = ("projector-from-state", "all-ones", "derivative-mask", "identity")
 SERIES_FORMATS = ("csv", "json")
@@ -137,10 +136,10 @@ class ExperimentConfig:
             _fail("target", f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.form not in FORMS:
             _fail("form", f"unknown form {self.form!r}; expected one of {FORMS}")
-        if self.target == "logdet-gradient" and self.form == "vector":
-            _fail("form", "target 'logdet-gradient' runs only in the operator form")
-        needs_phi = self.target == "inverse-expectation" or self.form == "vector"
-        if needs_phi and self.phi is None:
+        forms, observable, _, _ = TARGET_ROWS[self.target]
+        if self.form not in forms:
+            _fail("form", f"target {self.target!r} runs only in the {' or '.join(forms)} form")
+        if (observable == "phi" or self.form == "vector") and self.phi is None:
             _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
         if self.eth is not None and self.eth.seed != self.seed:
             _fail("eth.seed", "must equal the top-level seed (set only the top-level one)")

@@ -31,9 +31,10 @@ from .phase_estimation import (
     register_weights,
 )
 from .rng import derive_seed, substream
-from .spectral import Spectrum, eigenbasis_block, eigenbasis_diagonal, eigenbasis_ensemble, eigenbasis_factors, factored_commutator_norm, spectral_commutator_norm, spectrum_of
-from .weights import WeightSpec
+from .spectral import Spectrum, eigenbasis_block, eigenbasis_diagonal, eigenbasis_ensemble, eigenbasis_factors, factored_commutator_norm, logdet_gradient_oracle, spectral_commutator_norm, spectrum_of, trace_weighted
+from .weights import INVERSE, WeightSpec
 
+FORMS = ("operator", "vector")
 INITIAL_STATE_KINDS = ("uniform", "haar", "phase-product", "explicit")
 SAMPLING_MODES = ("exact", "shots")
 
@@ -126,8 +127,8 @@ class ThermalizationVerdict:
 class EthEstimate:
     """Raw time-average estimate with its uncertainty and bookkeeping.
 
-    estimate is the plain running mean of the sampled series; normalize()
-    turns it into a target value.
+    estimate is the plain running mean of the sampled series; its target's
+    normalization turns it into a target value.
     """
 
     estimate: float
@@ -526,19 +527,38 @@ class NormalizedEstimate:
     raw: EthEstimate
 
 
-def normalize(raw: EthEstimate, factor: float) -> NormalizedEstimate:
-    """The one place a normalization multiplies the estimate and its SE."""
+# One row per target: its forms, its operator-form observable ("delta" for the
+# configured Delta, "phi" for |phi><phi|), its weight (None: the configured
+# one, normalized by 1; INVERSE, the fixed 1/E, by N) and its oracle, from
+# (A, spectrum, observable, raw estimate). The vector form always measures
+# the overlap with phi and reads only the weight's policy.
+TARGET_ROWS = {
+    "time-average": (FORMS, "delta", None, lambda a, spec, delta, raw: raw.thermalized.diagonal_target),
+    "inverse-expectation": (FORMS, "phi", INVERSE, lambda a, spec, delta, raw: trace_weighted(spec, delta, INVERSE)),
+    # the finite-difference check reads the run's own A
+    "logdet-gradient": (("operator",), "delta", INVERSE, lambda a, spec, delta, raw: logdet_gradient_oracle(a, delta, spec)),
+}
+
+
+def _run_target(target: str, form: str, a: DenseOperator | Spectrum, delta: Optional[DenseOperator], phi: Optional[StateVector],
+                eth: EthConfig, qpe: QpeConfig, weight: Optional[WeightSpec] = None) -> NormalizedEstimate:
+    """target's row in one form: delta is the operator form's observable, phi
+    the vector form's state, weight the configured one a fixed weight replaces."""
+    forms, _, fixed, _ = TARGET_ROWS[target]
+    if form not in forms:
+        raise ConfigError(f"form must be {' or '.join(map(repr, forms))}, got {form!r}")
+    w = fixed or weight
+    if form == "operator":
+        raw = run_operator_form(a, delta, w, eth, qpe)
+    else:
+        raw = run_vector_form(a, phi, eth, qpe, policy=w.policy)
+    factor = 1.0 if fixed is None else float(a.dim)
     return NormalizedEstimate(factor * raw.estimate, factor * raw.standard_error, factor, raw)
 
 
 def inverse_expectation_result(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, form: str = "operator") -> NormalizedEstimate:
-    if form == "operator":
-        raw = run_operator_form(a, projector_from_state(phi), WeightSpec(kind="inverse"), eth, qpe)
-    elif form == "vector":
-        raw = run_vector_form(a, phi, eth, qpe)
-    else:
-        raise ConfigError(f"form must be 'operator' or 'vector', got {form!r}")
-    return normalize(raw, float(a.dim))
+    delta = projector_from_state(phi) if form == "operator" else None
+    return _run_target("inverse-expectation", form, a, delta, phi, eth, qpe)
 
 
 def estimate_inverse_expectation(a: DenseOperator, phi: StateVector, eth: EthConfig, qpe: QpeConfig, form: str = "operator") -> float:
@@ -551,8 +571,7 @@ def estimate_inverse_expectation(a: DenseOperator, phi: StateVector, eth: EthCon
 
 
 def logdet_gradient_result(a: DenseOperator | Spectrum, delta_mask: DenseOperator, eth: EthConfig, qpe: QpeConfig) -> NormalizedEstimate:
-    raw = run_operator_form(a, delta_mask, WeightSpec(kind="inverse"), eth, qpe)
-    return normalize(raw, float(a.dim))
+    return _run_target("logdet-gradient", "operator", a, delta_mask, None, eth, qpe)
 
 
 def estimate_logdet_gradient(a: DenseOperator, delta_mask: DenseOperator, eth: EthConfig, qpe: QpeConfig) -> float:

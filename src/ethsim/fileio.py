@@ -220,8 +220,11 @@ def write_summary(path, summary: dict) -> Path:
 def read_summary(path) -> dict:
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        summary = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read summary file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"summary file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(summary, dict):
+        raise ConfigError(f"summary file {path} is not a JSON object")
+    return summary

@@ -27,15 +27,6 @@ from .phase_estimation import QpeConfig
 from .rng import substream
 from .weights import WeightSpec
 
-PRESET_NAMES = (
-    "paper-example",
-    "integrable-counterexample",
-    "trace-counterexample",
-    "inverse-2q",
-    "logdet-2q",
-    "condition-sweep",
-)
-
 # shared 2-qubit operator with spectrum (1, 0.75, 0.5, 0.25): positive,
 # nondegenerate, every eigenvalue landing exactly on a register bin
 _DYADIC_2Q_TERMS = ((0.625, "II"), (0.25, "ZI"), (0.125, "IZ"))
@@ -220,6 +211,7 @@ _BUILDERS = {
     "logdet-2q": logdet_2q,
     "condition-sweep": condition_sweep,
 }
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def build_preset(name: str) -> ExperimentConfig:

@@ -50,6 +50,13 @@ class RunReport:
         return {"schema_version": SCHEMA_VERSION, "oracle_gap": self.oracle_gap, **summary}
 
 
+def _number(summary: dict, side: str, key: str) -> float:
+    value = summary.get(key, 0.0)  # a summary without a standard error has 0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"summary {side} field {key!r} is not a number: {value!r}")
+    return float(value)
+
+
 def compare_summaries(a: dict, b: dict) -> dict:
     """z-score of the estimate difference under combined standard errors.
 
@@ -62,8 +69,8 @@ def compare_summaries(a: dict, b: dict) -> dict:
     if a["target"] != b["target"]:
         raise DomainError(f"targets differ: {a['target']!r} vs {b['target']!r}")
 
-    est_a, est_b = float(a["estimate"]), float(b["estimate"])
-    se_a, se_b = float(a.get("standard_error", 0.0)), float(b.get("standard_error", 0.0))
+    est_a, est_b = _number(a, "a", "estimate"), _number(b, "b", "estimate")
+    se_a, se_b = _number(a, "a", "standard_error"), _number(b, "b", "standard_error")
     combined = math.hypot(se_a, se_b)
     gap = abs(est_a - est_b)
     if combined == 0.0:

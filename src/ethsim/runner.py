@@ -22,18 +22,11 @@ from .core import (
     uniform_superposition,
 )
 from .errors import ConfigError, DomainError
-from .estimators import (
-    logdet_gradient_result,
-    normalize,
-    run_operator_form,
-    run_vector_form,
-    running_standard_error,
-)
+from .estimators import TARGET_ROWS, _run_target, running_standard_error
 from .fileio import read_matrix_file, write_series, write_summary
 from .presets import build_preset, diagonal_pauli_terms, sweep_eigenvalues
 from .reporting import SCHEMA_VERSION, RunReport
-from .spectral import eigendecompose, logdet_gradient_oracle, trace_weighted
-from .weights import WeightSpec
+from .spectral import eigendecompose
 
 
 @dataclass(frozen=True)
@@ -98,31 +91,14 @@ def _execute_single(config: ExperimentConfig) -> ExecutionResult:
     start = time.perf_counter()
     # the one eigendecomposition of the run, shared by estimator, diagnostics and oracle
     spec = eigendecompose(a)
-    if config.target == "time-average":
-        if config.form == "operator":
-            delta = build_delta(config, n_qubits)
-            raw = run_operator_form(spec, delta, config.weight, config.eth, config.qpe)
-        else:
-            raw = run_vector_form(spec, phi, config.eth, config.qpe, policy=config.weight.policy)
-        result = normalize(raw, 1.0)
-        oracle_value = raw.thermalized.diagonal_target
-    elif config.target == "inverse-expectation":
-        # the run's one |phi><phi|, shared by the operator-form estimator and the oracle
+    _, observable, _, oracle = TARGET_ROWS[config.target]
+    # one |phi><phi| serves estimator and oracle; only the operator form reads a configured Delta
+    if observable == "phi":
         delta = projector_from_state(phi)
-        inverse = WeightSpec(kind="inverse", policy="reject")
-        if config.form == "operator":
-            raw = run_operator_form(spec, delta, inverse, config.eth, config.qpe)
-        else:
-            raw = run_vector_form(spec, phi, config.eth, config.qpe)
-        result = normalize(raw, float(spec.dim))
-        oracle_value = trace_weighted(spec, delta, inverse)
-    elif config.target == "logdet-gradient":
-        delta = build_delta(config, n_qubits)
-        result = logdet_gradient_result(spec, delta, config.eth, config.qpe)
-        # the finite-difference check reads the run's own A
-        oracle_value = logdet_gradient_oracle(a, delta, spec)
     else:
-        raise ConfigError(f"unknown target {config.target!r}")
+        delta = build_delta(config, n_qubits) if config.form == "operator" else None
+    result = _run_target(config.target, config.form, spec, delta, phi, config.eth, config.qpe, config.weight)
+    oracle_value = oracle(a, spec, delta, result.raw)
     wall = time.perf_counter() - start
 
     out_dir = Path(config.outputs.out_dir)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DenseOperator, StateVector, _frozen_array, hermitian_deviation
 from .errors import DomainError, SingularityError
-from .weights import WeightSpec
+from .weights import INVERSE, WeightSpec
 
 DEGENERACY_FRACTION = 1e-9
 
@@ -198,7 +198,7 @@ def logdet_gradient_oracle(a: DenseOperator | Spectrum, delta: DenseOperator, sp
     the oracle to be trusted, and raises.
     """
     spec = spec or spectrum_of(a)
-    inverse = WeightSpec(kind="inverse", policy="reject").evaluate(spec.eigenvalues, spec.spectral_range)
+    inverse = INVERSE.evaluate(spec.eigenvalues, spec.spectral_range)
     p, q = eigenbasis_factors(spec, delta)
     value = float(np.real(inverse @ eigenbasis_diagonal(p, q)))
 

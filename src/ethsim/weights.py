@@ -77,7 +77,7 @@ class WeightSpec:
             bad = e[near_zero][0]
             raise SingularityError(
                 f"weight {self.kind!r} undefined at eigenvalue E = {bad} "
-                f"(|E| <= window {window:.3e}); use the regularize policy to proceed"
+                f"(|E| <= window {window:.3e}); a time-average run proceeds under weight.policy = regularize"
             )
 
         if self.kind == "inverse":
@@ -107,3 +107,6 @@ class WeightSpec:
         eta = window if window > 0 else np.finfo(float).tiny
         return np.log(np.maximum(np.abs(e), eta))
 
+
+# the fixed 1/E weight of the inverse-expectation and log-det targets and their oracles
+INVERSE = WeightSpec(kind="inverse")

@@ -219,6 +219,19 @@ class TestRunCommand:
         assert code == 3
         assert "error [singularity]" in err
 
+    def test_singular_fixed_weight_ignores_the_regularize_policy(self, tmp_path, capsys):
+        # an inverse-expectation run weighs by a fixed 1/E and reads no weight block
+        cfg = tmp_path / "singular.cfg"
+        cfg.write_text(
+            FAST_INVERSE_CFG.replace("problem.terms = 1.5 I; -0.5 Z", "problem.terms = 0.5 I; 0.5 Z")
+            .replace("weight.kind = inverse", "weight.kind = inverse\nweight.policy = regularize")
+            .replace("qpe.scale = 0.25", "qpe.scale = 0.5")
+        )
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error [singularity]: weight 'inverse' undefined at eigenvalue E = 0.0")
+        assert err.rstrip().endswith("a time-average run proceeds under weight.policy = regularize")
+
     @pytest.mark.parametrize("form", ["operator", "vector"])
     def test_leaked_singular_bin_exit_code(self, tmp_path, capsys, form):
         # circuit-mode leakage reaches bin 0, whose decoded energy is 0
@@ -292,6 +305,24 @@ class TestCompareCommand:
         code, _, err = run_cli(capsys, "compare", str(a), str(b))
         assert code == 4
         assert "error [domain]" in err
+
+    @pytest.mark.parametrize(
+        "body,code,message",
+        [
+            ("3", 2, "error [config]: summary file {b} is not a JSON object"),
+            ('{"target": "inverse-expectation", "estimate": "x"}', 4,
+             "error [domain]: summary b field 'estimate' is not a number: 'x'"),
+            ('{"target": "inverse-expectation", "estimate": 1.0, "standard_error": null}', 4,
+             "error [domain]: summary b field 'standard_error' is not a number: None"),
+        ],
+        ids=["root-not-object", "estimate-not-number", "standard-error-null"],
+    )
+    def test_malformed_summary_is_a_named_error(self, tmp_path, capsys, body, code, message):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_summary(a, 1.0, 0.1)
+        b.write_text(body)
+        got, out, err = run_cli(capsys, "compare", str(a), str(b))
+        assert (got, out, err) == (code, "", message.format(b=b) + "\n")
 
     def test_real_run_compares_consistent(self, tmp_path, capsys):
         for sub, seed in (("a", "5"), ("b", "6")):

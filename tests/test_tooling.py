@@ -123,3 +123,22 @@ def test_readme_gives_the_dense_operator_constructor():
     documented = re.search(r"`DenseOperator\(([^)]*)\)`", section).group(1)
     parameters = inspect.signature(ethsim.DenseOperator).parameters.values()
     assert documented == ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in parameters)
+
+
+def test_readme_targets_table_is_the_module_table():
+    """Each row of the README's targets table gives its target's forms,
+    operator-form observable, weight, normalization and the oracle that
+    row's oracle function calls, as ethsim.estimators.TARGET_ROWS has them."""
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` \| ([\w, ]+) \| `(\w+)`[^|]* \| ([^|]+) \| (1|N) \| `(\w+)`", readme, re.M)
+    assert [row[0] for row in rows] == list(ethsim.estimators.TARGET_ROWS)
+    for target, forms, observable, weight, normalization, oracle in rows:
+        row_forms, row_observable, fixed, row_oracle = ethsim.estimators.TARGET_ROWS[target]
+        assert tuple(forms.split(", ")) == row_forms, target
+        assert observable == row_observable, target
+        if fixed is None:
+            assert weight.startswith("configured") and normalization == "1", target
+        else:
+            assert fixed == ethsim.WeightSpec(kind="inverse", policy=fixed.policy), target
+            assert weight.startswith("fixed 1/E") and f"`{fixed.policy}`" in weight and normalization == "N", target
+        assert oracle in row_oracle.__code__.co_names, target
