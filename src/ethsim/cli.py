@@ -22,7 +22,7 @@ from .errors import DomainError, SimulationError
 from .fileio import atomic_write_text, read_summary
 from .presets import PRESET_NAMES, build_preset
 from .reporting import compare_summaries
-from .runner import ExecutionResult, execute_experiment, resolve_preset_reference
+from .runner import ExecutionResult, execute_experiment
 
 
 def _add_output_flags(parser: argparse.ArgumentParser):
@@ -90,8 +90,7 @@ def _print_result(result: ExecutionResult):
 
 
 def _cmd_run(args) -> int:
-    # a preset reference expands first, so --seed reaches the preset's own seed
-    config = _apply_overrides(resolve_preset_reference(load_config(args.config)), args)
+    config = _apply_overrides(load_config(args.config), args)
     _print_result(execute_experiment(config))
     return 0
 

@@ -111,9 +111,8 @@ class ExperimentConfig:
 
     name: str
     problem: ProblemSpec
-    # a preset reference leaves both to the preset it names
-    qpe: Optional[QpeConfig] = None
-    eth: Optional[EthConfig] = None
+    qpe: QpeConfig
+    eth: EthConfig
     target: str = "time-average"
     form: str = "operator"
     seed: int = 0
@@ -129,9 +128,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name:
             _fail("name", "must be nonempty")
-        for key in ("qpe", "eth"):
-            if getattr(self, key) is None and self.problem.kind != "preset":
-                _fail(key, "missing required key (only a preset reference may leave it out)")
         if self.target not in TARGETS:
             _fail("target", f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.form not in FORMS:
@@ -141,11 +137,11 @@ class ExperimentConfig:
             _fail("form", f"target {self.target!r} runs only in the {' or '.join(forms)} form")
         if (observable == "phi" or self.form == "vector") and self.phi is None:
             _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
-        if self.eth is not None and self.eth.seed != self.seed:
+        if self.eth.seed != self.seed:
             _fail("eth.seed", "must equal the top-level seed (set only the top-level one)")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed, eth=self.eth and replace(self.eth, seed=seed))
+        return replace(self, seed=seed, eth=replace(self.eth, seed=seed))
 
     def with_outputs(self, **kwargs) -> "ExperimentConfig":
         return replace(self, outputs=replace(self.outputs, **kwargs))
@@ -154,8 +150,6 @@ class ExperimentConfig:
         data = _dump(_ROOT, self)
         # an empty basename stands for the config's name, as the runner reads it
         data["outputs"]["basename"] = self.outputs.basename or self.name
-        if self.problem.kind == "preset":
-            return {key: data[key] for key in _PRESET_REFERENCE_KEYS}
         return data
 
 
@@ -359,21 +353,28 @@ _ROOT = {
 }
 
 
-# the root keys a problem.kind = preset config may carry; the preset supplies every other
-_PRESET_REFERENCE_KEYS = ("name", "problem", "outputs")
-
-
 def from_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a raw mapping into an ExperimentConfig.
 
-    Raises ConfigError naming the offending field on any problem.
+    A preset reference (problem.kind = preset) reads as the preset's data
+    with the reference's own outputs block. Raises ConfigError naming the
+    offending field on any problem.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     if isinstance(data.get("problem"), dict) and data["problem"].get("kind") == "preset":
+        # a preset reference carries only these root keys; the preset's data supplies every other
         for key in data:
-            if key not in _PRESET_REFERENCE_KEYS:
+            if key not in ("name", "problem", "outputs"):
                 _fail(key, "a preset reference takes only name, problem and outputs; the preset sets the rest")
+        if "name" not in data:
+            _fail("name", "missing required key")
+        # presets parses its data with this function, so config and presets
+        # import each other; this import runs at call time to break the cycle
+        from .presets import preset_data
+
+        problem = _build(ProblemSpec, _PROBLEM, data["problem"], "problem")
+        data = {**preset_data(problem.preset), "outputs": data.get("outputs", {})}
     # eth.seed is the top-level seed unless the file repeats it
     if isinstance(data.get("eth"), dict) and "seed" in data:
         data = {**data, "eth": {"seed": data["seed"], **data["eth"]}}

@@ -480,19 +480,18 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, delta))
 
 
-def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, policy: str = "reject") -> EthEstimate:
+def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, w: WeightSpec = INVERSE) -> EthEstimate:
     """Time-average of weighted overlap probabilities against |phi>.
 
     The evolved state is entangled with the register, carries the square
-    root of the inverse-energy weight, is disentangled, and its overlap with
-    phi is squared: the per-step sample norm_factor^2 |<phi|psi_w(t)>|^2
-    time-averages to sum_p |c_p|^2 |<phi|p>|^2 / E_p. Shots mode reads the
+    root of the weight w (1/E unless given), is disentangled, and its overlap
+    with phi is squared: the per-step sample norm_factor^2 |<phi|psi_w(t)>|^2
+    time-averages to sum_p |c_p|^2 |<phi|p>|^2 w(E_p). Shots mode reads the
     overlap from a simulated swap test instead of exact arithmetic.
     """
     spec = spectrum_of(a)
     if phi.dim != spec.dim:
         raise DomainError(f"phi dimension {phi.dim} does not match {spec.dim}")
-    w = WeightSpec(kind="inverse", policy=policy)
     amps = register_amplitudes(spec, qpe)
     prob = np.abs(amps) ** 2
     b = spec.coefficients(phi.amplitudes)
@@ -531,7 +530,7 @@ class NormalizedEstimate:
 # configured Delta, "phi" for |phi><phi|), its weight (None: the configured
 # one, normalized by 1; INVERSE, the fixed 1/E, by N) and its oracle, from
 # (A, spectrum, observable, raw estimate). The vector form always measures
-# the overlap with phi and reads only the weight's policy.
+# the overlap with phi, under the same weight as the operator form.
 TARGET_ROWS = {
     "time-average": (FORMS, "delta", None, lambda a, spec, delta, raw: raw.thermalized.diagonal_target),
     "inverse-expectation": (FORMS, "phi", INVERSE, lambda a, spec, delta, raw: trace_weighted(spec, delta, INVERSE)),
@@ -551,7 +550,7 @@ def _run_target(target: str, form: str, a: DenseOperator | Spectrum, delta: Opti
     if form == "operator":
         raw = run_operator_form(a, delta, w, eth, qpe)
     else:
-        raw = run_vector_form(a, phi, eth, qpe, policy=w.policy)
+        raw = run_vector_form(a, phi, eth, qpe, w)
     factor = 1.0 if fixed is None else float(a.dim)
     return NormalizedEstimate(factor * raw.estimate, factor * raw.standard_error, factor, raw)
 

@@ -24,7 +24,7 @@ from .core import (
 from .errors import ConfigError, DomainError
 from .estimators import TARGET_ROWS, _run_target, running_standard_error
 from .fileio import read_matrix_file, write_series, write_summary
-from .presets import build_preset, diagonal_pauli_terms, sweep_eigenvalues
+from .presets import diagonal_pauli_terms, sweep_eigenvalues
 from .reporting import SCHEMA_VERSION, RunReport
 from .spectral import eigendecompose
 
@@ -37,15 +37,6 @@ class ExecutionResult:
     summary_path: Path
     series_paths: tuple
     reports: tuple
-
-
-def resolve_preset_reference(config: ExperimentConfig) -> ExperimentConfig:
-    """Expand a problem that names a preset; only the outputs block of the
-    referencing config survives the expansion."""
-    if config.problem.kind != "preset":
-        return config
-    base = build_preset(config.problem.preset)
-    return replace(base, outputs=config.outputs)
 
 
 def build_operator(config: ExperimentConfig) -> DenseOperator:
@@ -186,7 +177,6 @@ def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
 
 def execute_experiment(config: ExperimentConfig) -> ExecutionResult:
     """Run one experiment (or a whole sweep) and write its output files."""
-    config = resolve_preset_reference(config)
     if config.sweep is not None:
         return _execute_sweep(config)
     return _execute_single(config)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from ethsim.config import (
     PROBLEM_KINDS,
     TARGETS,
     ExperimentConfig,
+    OutputSpec,
     from_dict,
     load_config,
     parse_amplitudes,
@@ -104,7 +106,7 @@ class TestFromDict:
 
     def test_problem_names_a_preset_only_by_preset(self):
         data = {"name": "x", "problem": {"kind": "preset", "preset": "inverse-2q"}}
-        assert from_dict(data).problem.preset == "inverse-2q"
+        assert from_dict(data) == replace(build_preset("inverse-2q"), outputs=OutputSpec())
         data["problem"] = {"kind": "preset", "name": "inverse-2q"}
         with pytest.raises(ConfigError, match="'problem.name': unknown field"):
             from_dict(data)
@@ -137,8 +139,10 @@ class TestFromDict:
             from_dict(data)
 
     def test_a_preset_reference_needs_no_qpe_or_eth_block(self):
+        """The reference's qpe and eth are the preset's; every other config needs both."""
         cfg = from_dict({"name": "x", "problem": {"kind": "preset", "preset": "inverse-2q"}})
-        assert (cfg.qpe, cfg.eth) == (None, None)
+        preset = build_preset("inverse-2q")
+        assert (cfg.qpe, cfg.eth) == (preset.qpe, preset.eth)
         assert from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
         assert from_dict(parse_keyvalue_text(to_keyvalue_text(cfg))).to_dict() == cfg.to_dict()
         for key in ("qpe", "eth"):
@@ -159,10 +163,26 @@ class TestFromDict:
         assert not list(tmp_path.glob("*_series.csv"))
 
     def test_a_preset_reference_echoes_only_its_own_keys(self):
+        """Of the reference, only its outputs block reaches the echo; the rest is the preset's config."""
         data = {"name": "x", "problem": {"kind": "preset", "preset": "inverse-2q"}, "outputs": {"format": "json"}}
         echo = from_dict(data).to_dict()
-        assert list(echo) == ["name", "problem", "outputs"]
+        assert echo == build_preset("inverse-2q").with_outputs(format="json").to_dict()
+        assert echo["name"] == "inverse-2q" and echo["problem"]["kind"] == "pauli-terms"
         assert echo["outputs"]["format"] == "json"
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_preset_reference_is_the_preset_with_its_outputs(self, name):
+        data = {"name": "ref", "problem": {"kind": "preset", "preset": name}, "outputs": {"format": "json"}}
+        assert from_dict(data) == replace(build_preset(name), outputs=OutputSpec(format="json"))
+
+    def test_a_reference_to_an_unknown_preset_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps({"name": "x", "problem": {"kind": "preset", "preset": "no-such"}}))
+        with pytest.raises(ConfigError, match=re.escape(f"unknown preset 'no-such'; expected one of {PRESET_NAMES}")):
+            load_config(path)
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert f"unknown preset 'no-such'; expected one of {PRESET_NAMES}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_series.*"))
 
     def test_a_preset_reference_runs_the_preset(self, tmp_path, capsys):
         path = tmp_path / "ref.json"

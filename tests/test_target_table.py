@@ -2,8 +2,7 @@
 
 A change to a block the row does not read leaves the series file and every
 estimate of the summary byte-identical; a change to a block it reads moves
-them. The vector form of a time-average run reads only weight.policy, which
-matters on a singular bin alone.
+them.
 """
 
 import pytest
@@ -19,7 +18,7 @@ WEIGHT = ("weight.kind", "weight.policy", "weight.eta")
 # the blocks each (target, form) leaves unread, as the README's targets table states them
 UNREAD = {
     ("time-average", "operator"): (),
-    ("time-average", "vector"): ("weight.kind", "weight.eta", "delta"),
+    ("time-average", "vector"): ("delta",),
     ("inverse-expectation", "operator"): WEIGHT + ("delta",),
     ("inverse-expectation", "vector"): WEIGHT + ("delta",),
     ("logdet-gradient", "operator"): WEIGHT,
@@ -80,11 +79,7 @@ def test_a_configured_delta_is_built_only_where_it_is_read(target, form, tmp_pat
     assert len(built) == (0 if "delta" in UNREAD[target, form] else 1)
 
 
-# the vector form reads weight.policy only at a singular bin: the tests below cover it
-@pytest.mark.parametrize(
-    "target,form,change",
-    [(*pair, change) for pair in PAIRS for change in CHANGES if pair + (change,) != ("time-average", "vector", "weight.policy")],
-)
+@pytest.mark.parametrize("target,form,change", [(*pair, change) for pair in PAIRS for change in CHANGES])
 def test_only_the_blocks_a_row_reads_move_its_outputs(target, form, change, tmp_path):
     block, value = CHANGES[change]
     base = _outputs(_config(target, form, tmp_path / "base"))

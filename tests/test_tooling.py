@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+from fractions import Fraction
 import sys
 from pathlib import Path
 
@@ -142,3 +143,21 @@ def test_readme_targets_table_is_the_module_table():
             assert fixed == ethsim.WeightSpec(kind="inverse", policy=fixed.policy), target
             assert weight.startswith("fixed 1/E") and f"`{fixed.policy}`" in weight and normalization == "N", target
         assert oracle in row_oracle.__code__.co_names, target
+
+
+def test_readme_presets_table_is_the_preset_list():
+    """The README's presets table names exactly the built-in presets, in
+    order, and gives each one's expected value to the digits it shows
+    (`per run` where the preset has none)."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Presets", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \|.*\| ([^|]+) \|$", section, re.M)
+    assert [name for name, _ in rows] == list(ethsim.PRESET_NAMES)
+    for name, shown in rows:
+        expected, shown = ethsim.build_preset(name).expected, shown.strip()
+        if shown == "per run":
+            assert expected is None, name
+        elif "/" in shown:
+            assert expected == float(Fraction(shown)), name
+        else:
+            assert round(expected, len(shown.split(".")[1])) == float(shown), name
