@@ -195,7 +195,7 @@ def parse_amplitudes(value, field_name: str):
                 re = float(parts[0])
                 im = float(parts[1]) if len(parts) > 1 else 0.0
                 out.append(complex(re, im))
-        return np.asarray(out, dtype=complex)
+        return tuple(out)
     except (TypeError, ValueError, IndexError):
         _fail(field_name, f"cannot parse amplitudes from {value!r}")
 

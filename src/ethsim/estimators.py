@@ -49,7 +49,7 @@ DEFAULT_BATCHES = 10
 _CHUNK = 1 << 15
 # byte budget of one block of evolved eigen-coefficients (N complex rows)
 _CHUNK_BYTES = 2 << 20
-# byte budget of a shot block's largest transient (r * max(N, 2^m) complex per step)
+# byte budget of a shot sub-block's largest transient (r * max(N, 2^m) complex per step)
 _SHOT_BYTES = 1 << 20
 # steps per row of the phase table: one exponential per eigenvalue per this many steps
 _PHASE_WIDTH = 64
@@ -212,17 +212,16 @@ def _chunk_columns(dim: int) -> int:
     return min(_CHUNK, _CHUNK_BYTES // (16 * dim))
 
 
-def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int, chunk: int = 0):
+def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int):
     """Eigen-coefficients c_p(t_j) = c_p exp(-i E_p t_j) at t_j = j*dt for
-    j = 1..num_steps, yielded as column blocks of chunk (default
-    _chunk_columns) steps.
+    j = 1..num_steps, yielded as column blocks of _chunk_columns steps.
 
     With j = q*W + r, r = 1..W (W = _PHASE_WIDTH), c_p(t_j) is the offset
     exp(-i E_p dt qW) times the table entry c_p exp(-i E_p dt r): N*W
     exponentials for the table and N per W steps for the offsets. Each entry
     is one product of the two, so c(t_j) depends on j alone, not on the
     block width or on num_steps."""
-    chunk = chunk or _chunk_columns(eigenvalues.size)
+    chunk = _chunk_columns(eigenvalues.size)
     angle = -dt * eigenvalues
     table = np.exp(1.0j * np.outer(angle, np.arange(1, _PHASE_WIDTH + 1)))
     table *= coeffs[:, None]
@@ -232,7 +231,7 @@ def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: 
         offsets = np.exp(1.0j * np.outer(angle, _PHASE_WIDTH * np.arange(first, last)))
         lo, hi = start - first * _PHASE_WIDTH, stop - first * _PHASE_WIDTH
         if last - first == 1:
-            # a block inside one table row (a narrow shot block) takes only its own columns
+            # a block inside one table row (N > 2^11) takes only its own columns
             yield offsets * table[:, lo:hi]
         else:
             yield (offsets[:, :, None] * table[:, None, :]).reshape(eigenvalues.size, -1)[:, lo:hi]
@@ -471,10 +470,11 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
         # transient is its r x N weighted overlaps or its r x 2^m amplitudes
         rank = max(1, (values.size - 1) // table.size)
         width = max(1, _SHOT_BYTES // (16 * rank * max(spec.dim, table.size)))
-        blocks = _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps, width)
         # a row sum, not counts @ values, whose rounding depends on the block height
-        totals = map(lambda c: (rng.multinomial(eth.shots, probabilities(c)) * values).sum(axis=1), blocks)
-        return np.concatenate(list(totals)) / eth.shots, 0.0
+        totals = [(rng.multinomial(eth.shots, probabilities(block[:, i : i + width])) * values).sum(axis=1)
+                  for block in _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps)
+                  for i in range(0, block.shape[1], width)]
+        return np.concatenate(totals) / eth.shots, 0.0
 
     eff = (left, right, w.evaluate(decoded_energies(spec, qpe, amps), spec.spectral_range))
     return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, delta))

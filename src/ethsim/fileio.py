@@ -40,19 +40,23 @@ def atomic_write_text(path, text) -> Path:
     """Write text, one str or an iterable of str blocks, via a sibling temp
     file and rename, so readers never see a half-written file. The blocks
     go through one writelines call, so an iterable is written as it is
-    produced and never joined; a block that raises leaves no temp file."""
+    produced and never joined; a block that raises leaves no temp file. A
+    path that cannot be written is a ConfigError naming it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # mode 0o666 leaves the permissions to the umask, as for any new file
     tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # mode 0o666 leaves the permissions to the umask, as for any new file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if fd is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, (FileExistsError, NotADirectoryError, IsADirectoryError, PermissionError)):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
     return path
 

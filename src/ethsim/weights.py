@@ -72,22 +72,17 @@ class WeightSpec:
                 raise SingularityError(f"custom weight is not finite at E = {bad}")
             return values
 
-        near_zero = np.abs(e) <= window
-        if self.policy == "reject" and np.any(near_zero):
-            bad = e[near_zero][0]
-            raise SingularityError(
-                f"weight {self.kind!r} undefined at eigenvalue E = {bad} "
-                f"(|E| <= window {window:.3e}); a time-average run proceeds under weight.policy = regularize"
-            )
-
-        if self.kind == "inverse":
-            if self.policy == "reject":
+        if self.policy == "reject":
+            near_zero = np.abs(e) <= window
+            if np.any(near_zero):
+                bad = e[near_zero][0]
+                raise SingularityError(
+                    f"weight {self.kind!r} undefined at eigenvalue E = {bad} "
+                    f"(|E| <= window {window:.3e}); a time-average run proceeds under weight.policy = regularize"
+                )
+            if self.kind == "inverse":
                 return 1.0 / e
-            eta = window if window > 0 else np.finfo(float).tiny
-            return e / (e**2 + eta**2)
-
-        if self.kind == "inverse_sqrt":
-            if self.policy == "reject":
+            if self.kind == "inverse_sqrt":
                 if np.any(e < 0):
                     bad = e[e < 0][0]
                     raise SingularityError(
@@ -95,17 +90,16 @@ class WeightSpec:
                         "use the regularize policy to allow complex weights"
                     )
                 return 1.0 / np.sqrt(e)
-            eta = window if window > 0 else np.finfo(float).tiny
-            base = e / (e**2 + eta**2)
-            if np.any(base < 0):
-                return np.sqrt(base.astype(complex))
-            return np.sqrt(base)
-
-        # log_of_e: log |E|, the determinant's sign is not tracked here
-        if self.policy == "reject":
+            # log_of_e: log |E|, the determinant's sign is not tracked here
             return np.log(np.abs(e))
+
         eta = window if window > 0 else np.finfo(float).tiny
-        return np.log(np.maximum(np.abs(e), eta))
+        if self.kind == "log_of_e":
+            return np.log(np.maximum(np.abs(e), eta))
+        inverse = e / (e**2 + eta**2)
+        if self.kind == "inverse":
+            return inverse
+        return np.sqrt(inverse.astype(complex)) if np.any(inverse < 0) else np.sqrt(inverse)
 
 
 # the fixed 1/E weight of the inverse-expectation and log-det targets and their oracles

@@ -51,6 +51,23 @@ class TestPresetCommand:
         assert code == 2
         assert "error [config]" in err
 
+    @pytest.mark.parametrize("blocker", ["afile", "out/inverse-2q_series.csv"])
+    def test_an_unwritable_output_path_exits_2(self, tmp_path, capsys, blocker):
+        # a regular file where the output directory should be made, or a
+        # directory where the series file should be written
+        if blocker == "afile":
+            (tmp_path / blocker).write_text("")
+            out_dir = tmp_path / "afile" / "sub"
+        else:
+            (tmp_path / blocker).mkdir(parents=True)
+            out_dir = tmp_path / "out"
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run_cli(capsys, "preset", "inverse-2q", "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error [config]: cannot write {out_dir / 'inverse-2q_series.csv'}: ")
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_emit_config_then_run(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "preset", "logdet-2q", "--emit-config", "--out-dir", str(tmp_path)

@@ -58,6 +58,20 @@ class TestFromDict:
             cfg = build_preset(name)
             assert from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("key", ["phi", "delta.state"])
+    def test_explicit_amplitudes_compare_and_hash(self, key):
+        data = self.base()
+        amplitudes = [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]
+        if key == "phi":
+            data["phi"] = amplitudes
+        else:
+            data["delta"]["state"] = amplitudes
+        cfg = from_dict(data)
+        assert from_dict(data) == cfg
+        assert hash(from_dict(data)) == hash(cfg)
+        assert from_dict(cfg.to_dict()) == cfg
+        assert (cfg.phi if key == "phi" else cfg.delta.state) == (0.5, 0.5j, -0.5, -0.5j)
+
     def test_missing_required_key_names_field(self):
         data = self.base()
         del data["problem"]

@@ -450,8 +450,8 @@ class TestPhaseTableKernel:
         return np.sort(rng.uniform(-3.0, 3.0, size=dim)), coeffs / np.linalg.norm(coeffs)
 
     @staticmethod
-    def columns(eigenvalues, coeffs, dt, num_steps, chunk=0):
-        return np.hstack(list(estimators._evolved(eigenvalues, coeffs, dt, num_steps, chunk)))
+    def columns(eigenvalues, coeffs, dt, num_steps):
+        return np.hstack(list(estimators._evolved(eigenvalues, coeffs, dt, num_steps)))
 
     @pytest.mark.parametrize("num_steps", [50, 2048, 4097])
     @pytest.mark.parametrize("dim", [2, 32, 512])
@@ -462,11 +462,12 @@ class TestPhaseTableKernel:
         assert got.shape == (dim, num_steps)
         assert np.abs(got - direct).max() <= 1e-12
 
-    def test_columns_do_not_depend_on_the_block_width(self):
+    def test_columns_do_not_depend_on_the_block_width(self, monkeypatch):
         eigenvalues, coeffs = self.inputs(8)
         whole = self.columns(eigenvalues, coeffs, 0.37, 300)
         for chunk in (1, 5, 63, 64, 65):
-            blocks = list(estimators._evolved(eigenvalues, coeffs, 0.37, 300, chunk))
+            monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * chunk)
+            blocks = list(estimators._evolved(eigenvalues, coeffs, 0.37, 300))
             assert [b.shape[1] for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
             np.testing.assert_array_equal(np.hstack(blocks), whole)
 
@@ -705,7 +706,8 @@ class TestBlockBatchedShots:
     @pytest.mark.parametrize("form", ["operator", "vector"])
     def test_series_is_bit_identical_across_block_widths(self, monkeypatch, form, mode):
         whole = self.run(form, mode)
-        # three steps per shot block and five per block of evolved coefficients
+        # five steps per block of evolved coefficients: the operator form's shot
+        # sub-blocks (24 steps of the rank-one projector) are cut to five
         monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 8 * 8 * 3)
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * 5)
         np.testing.assert_array_equal(self.run(form, mode).series, whole.series)
@@ -845,25 +847,52 @@ class TestSpanShotOutcomes:
             run_operator_form(a, skewed, WeightSpec(kind="inverse"), eth, qpe)
         assert keys == []
 
+    @staticmethod
+    def record_widths(monkeypatch):
+        """The steps of each sub-block the shot draw passes to probabilities, in call order."""
+        widths = []
+        outcomes = estimators._shot_outcomes
+
+        def recorded(*args):
+            values, probabilities = outcomes(*args)
+
+            def recorded_probabilities(c):
+                widths.append(c.shape[1])
+                return probabilities(c)
+
+            return values, recorded_probabilities
+
+        monkeypatch.setattr(estimators, "_shot_outcomes", recorded)
+        return widths
+
     @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
     def test_block_width_follows_the_largest_transient(self, monkeypatch, mode):
         a, phi, init = _merged_problem(3, 3, seed=17)
         qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
         eth = EthConfig(dt=0.37, num_steps=40, sampling="shots", shots=16, seed=5, initial_state=init)
-        widths = []
-        evolved = estimators._evolved
-
-        def recorded(eigenvalues, coeffs, dt, num_steps, chunk=0):
-            widths.append(chunk)
-            return evolved(eigenvalues, coeffs, dt, num_steps, chunk)
-
-        monkeypatch.setattr(estimators, "_evolved", recorded)
+        widths = self.record_widths(monkeypatch)
         monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 5 * 8 * 3)
-        # r x max(N, 2^m) complex per step: three steps of the rank-5 mask, fifteen of |phi><phi|
-        for name, expected in (("mask", 3), ("projector", 15)):
+        # r x max(N, 2^m) complex per step: three steps of the rank-5 mask, fifteen of |phi><phi|,
+        # cut from one 40-step block of evolved coefficients
+        for name, expected in (("mask", [3] * 13 + [1]), ("projector", [15, 15, 10])):
             widths.clear()
             run_operator_form(a, _span_observables(phi)[name][0], WeightSpec(kind="inverse"), eth, qpe)
-            assert widths == [expected]
+            assert widths == expected
+
+    @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
+    def test_series_is_bit_identical_when_sub_blocks_stop_at_block_ends(self, monkeypatch, mode):
+        a, phi, init = _merged_problem(3, 3, seed=17)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
+        eth = EthConfig(dt=0.37, num_steps=40, sampling="shots", shots=48, seed=13, initial_state=init, repetitions=2)
+        delta = projector_from_state(phi)
+        whole = run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series
+        widths = self.record_widths(monkeypatch)
+        # five-step blocks of evolved coefficients drawn three steps at a time: a
+        # sub-block of three would straddle each block end, so it is cut to two
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * 5)
+        monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 8 * 3)
+        np.testing.assert_array_equal(run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series, whole)
+        assert widths == [3, 2] * 16
 
     @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
     @pytest.mark.parametrize("name", ["projector", "mask"])
