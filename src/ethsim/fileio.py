@@ -14,6 +14,7 @@ import functools
 import gc
 import itertools
 import json
+import mmap
 import os
 import secrets
 import signal
@@ -34,6 +35,12 @@ _CSV_ROWS = 1024
 _SPAN_ROWS = 8 * _CSV_ROWS
 # characters per read when a span's part file is copied into the series file
 _COPY_CHARS = 2**16
+# least body bytes per span of the forked matrix-file reader (see README)
+_SPAN_BYTES = 2**20
+# bytes of text per np.loadtxt call of the matrix-file reader
+_PARSE_BYTES = 2**18
+# bytes per os.pread of the matrix-file reader
+_READ_BYTES = 2**16
 
 
 def atomic_write_text(path, text) -> Path:
@@ -71,9 +78,14 @@ def write_matrix_file(path, entries) -> Path:
 
 
 def read_matrix_file(path) -> np.ndarray:
-    """Read a matrix file: the header with int(), the rows in one streaming
-    np.loadtxt pass. The file is read as bytes and the body decoded as
-    latin1, so a byte that is not text fails as a token of the line it is on."""
+    """Read a matrix file: the header with int(), the body in contiguous
+    spans of whole lines, one per CPU and each of at least _SPAN_BYTES. The
+    parent parses span 0 into the result and one forked child per later span
+    parses it into a shared anonymous map, from which the parent places its
+    rows in span order (see _forked). The body is read as bytes and decoded
+    as latin1, so a byte that is not text fails as a token of its line. The
+    first line that is not a row of 2*dim numbers is named by its line
+    number in the file, whatever the span count."""
     path = Path(path)
     try:
         with path.open("rb") as handle:
@@ -83,23 +95,143 @@ def read_matrix_file(path) -> np.ndarray:
                 raise ConfigError(f"matrix file {path}: first line must be the dimension") from None
             if dim < 2 or dim & (dim - 1):
                 raise ConfigError(f"matrix file {path}: dimension {dim} is not a power of two >= 2")
-            expect = f"expected {dim} rows of {2 * dim} numbers"
-            try:
-                with warnings.catch_warnings():
-                    # loadtxt warns on a body with no rows, which the shape check reports
-                    warnings.simplefilter("ignore", UserWarning)
-                    values = np.loadtxt(handle, dtype=float, ndmin=2, comments=None, encoding="latin1")
-            except ValueError as exc:
-                raise ConfigError(f"matrix file {path}: {expect} ({exc})") from exc
+            width = 2 * dim
+            expect = f"expected {dim} rows of {width} numbers"
+            fd, body = handle.fileno(), handle.tell()
+            size = os.fstat(fd).st_size
+            spans = _span_count(size - body, _SPAN_BYTES)
+            cuts = [body, *(_line_start(fd, body + k * (size - body) // spans, size) for k in range(1, spans)), size]
+            # each later span's block of the shared map: a head (row count,
+            # offset of the first faulty line or -1), then room for its rows;
+            # a row of width numbers takes at least 2*width bytes with its newline
+            blocks, at = [], 0
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                cap = min(dim, (hi - lo + 1) // (2 * width))
+                blocks.append((lo, hi, at, cap))
+                at += 16 + 8 * width * cap
+            values = np.empty((dim, width))
+            # an empty map is an error, so one span maps one unused byte
+            with mmap.mmap(-1, max(at, 1)) as shared, _forked(functools.partial(_parse_part, shared, fd, *block, width) for block in blocks) as statuses:
+                try:
+                    rows = _parse_span(fd, cuts[0], cuts[1], values)
+                    for (lo, hi, head, cap), status in zip(blocks, statuses):
+                        if status:
+                            raise SimulationError(f"matrix file {path}: the child process parsing bytes {lo}..{hi - 1} exited with status {status}")
+                        count, fault = np.frombuffer(shared, np.int64, 2, head).tolist()
+                        if fault >= 0:
+                            raise _LineFault(fault)
+                        _place(values, rows, np.frombuffer(shared, float, min(count, cap) * width, head + 16).reshape(-1, width))
+                        rows += count
+                except _LineFault as fault:
+                    raise ConfigError(f"matrix file {path}: {expect}; {_fault_text(fd, fault.args[0], width)}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
-    if values.shape != (dim, 2 * dim):
-        raise ConfigError(f"matrix file {path}: {expect}, got {values.size} numbers in {len(values)} rows")
+    if rows != dim:
+        raise ConfigError(f"matrix file {path}: {expect}, got {rows} rows")
     if not np.isfinite(values).all():
         raise ConfigError(f"matrix file {path}: entries must be finite, found nan or inf")
     entries = values.view(complex)  # each row holds re, im pairs
     entries.setflags(write=False)  # a fresh array, so an operator keeps it without a copy
     return entries
+
+
+class _LineFault(Exception):
+    """A line of a matrix file that is not a row of the file's width; the
+    argument is the offset where it starts."""
+
+
+def _lines(fd: int, lo: int, hi: int):
+    """The lines of bytes lo..hi-1 of a file, without their newlines, read
+    with os.pread _READ_BYTES at a time: a forked child shares the parent's
+    file offset, so no reader may move it."""
+    rest = b""
+    while lo < hi:
+        block = os.pread(fd, min(_READ_BYTES, hi - lo), lo)
+        if not block:  # the file ended early
+            break
+        lo += len(block)
+        *lines, rest = (rest + block).split(b"\n")
+        yield from lines
+    if rest:
+        yield rest
+
+
+def _line_start(fd: int, pos: int, end: int) -> int:
+    """The first line start at or after pos (pos > 0), or end."""
+    while pos < end:
+        block = os.pread(fd, _READ_BYTES, pos - 1)
+        at = block.find(b"\n")
+        if at >= 0:
+            return min(pos + at, end)
+        if not block:
+            break
+        pos += len(block)
+    return end
+
+
+def _loadtxt(lines) -> np.ndarray:
+    """np.loadtxt of byte lines decoded as latin1, where # starts no comment."""
+    with warnings.catch_warnings():
+        # loadtxt warns on lines with no data, which are skipped
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=float, ndmin=2, comments=None, encoding="latin1")
+
+
+def _line_fault(line: bytes, width: int) -> str | None:
+    """What keeps one line from being a row of width numbers, or None if it
+    is one or holds no data. The test is of the line alone, so the first
+    faulty line of a file does not depend on how the file is cut."""
+    try:
+        row = _loadtxt([line])
+    except ValueError as exc:
+        return str(exc).replace(" at row 0,", " at")  # the line is loadtxt's row 0
+    return f"{row.shape[1]} numbers" if len(row) and row.shape[1] != width else None
+
+
+def _fault_text(fd: int, offset: int, width: int) -> str:
+    """The line starting at offset, by its 1-based number in the file (the
+    header is line 1), and its fault."""
+    number = 1 + sum(os.pread(fd, min(_READ_BYTES, offset - at), at).count(b"\n") for at in range(0, offset, _READ_BYTES))
+    return f"line {number}: {_line_fault(next(_lines(fd, offset, os.fstat(fd).st_size)), width)}"
+
+
+def _place(out: np.ndarray, rows: int, chunk: np.ndarray):
+    """Copy chunk to out from row rows on, as far as out reaches."""
+    out[rows : rows + len(chunk)] = chunk[: max(0, len(out) - rows)]
+
+
+def _parse_span(fd: int, lo: int, hi: int, out: np.ndarray) -> int:
+    """Parse bytes lo..hi-1 of the file (a whole number of lines), about
+    _PARSE_BYTES at a time, into out; return the row count, also of rows
+    past its end. Raise _LineFault at the first line that is not a row of
+    out's width."""
+    rows = 0
+    while lo < hi:
+        end = _line_start(fd, lo + _PARSE_BYTES, hi)
+        try:
+            chunk = _loadtxt(_lines(fd, lo, end))
+            if len(chunk) and chunk.shape[1] != out.shape[1]:
+                raise ValueError
+        except ValueError:
+            for line in _lines(fd, lo, end):
+                if _line_fault(line, out.shape[1]):
+                    raise _LineFault(lo) from None
+                lo += len(line) + 1
+        _place(out, rows, chunk)
+        rows += len(chunk)
+        lo = end
+    return rows
+
+
+def _parse_part(shared: mmap.mmap, fd: int, lo: int, hi: int, at: int, cap: int, width: int):
+    """In a forked child: parse bytes lo..hi-1 into the room for cap rows
+    after offset at + 16 of shared, then write the head at offset at: the
+    row count and the offset of the first faulty line, or -1."""
+    try:
+        head = _parse_span(fd, lo, hi, np.ndarray((cap, width), float, shared, at + 16)), -1
+    except _LineFault as fault:
+        head = 0, fault.args[0]
+    np.frombuffer(shared, np.int64, 2, at)[:] = head
 
 
 def _cpu_count() -> int:
@@ -108,6 +240,56 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _span_count(size: int, least: int) -> int:
+    """Spans to cut size units into: one per CPU, each of at least least
+    units; one where os.fork is missing."""
+    return max(1, min(_cpu_count(), size // least)) if hasattr(os, "fork") else 1
+
+
+def _child(task):
+    """In a forked child: run task(), then end the process, with exit status
+    0 if it returned and 1, its traceback on stderr, if it raised."""
+    status = 1
+    try:
+        # no collection in the child, so no finalizer of the parent's garbage
+        # (a file with buffered writes, say) runs a second time
+        gc.disable()
+        task()
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())  # the traceback, as for an uncaught error
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _forked(tasks):
+    """Run each task in a forked child (see _child) and give the caller the
+    children's exit statuses in task order, each waited for as it is taken.
+    On exit, also by an exception, every child not yet reaped is killed and
+    reaped. With no tasks nothing is forked."""
+    pids = []
+
+    def statuses():
+        while pids:
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            yield status
+
+    try:
+        for task in tasks:
+            pid = os.fork()
+            if pid == 0:
+                _child(task)
+            pids.append(pid)
+        yield statuses()
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _row_blocks(fmt: str, dt: float, cols, lo: int, hi: int):
@@ -127,21 +309,9 @@ def _row_blocks(fmt: str, dt: float, cols, lo: int, hi: int):
 
 
 def _format_part(part: Path, fmt: str, dt: float, cols, lo: int, hi: int):
-    """In a forked child: write rows lo..hi-1 to the part file, then end the
-    process, with exit status 0 only if the whole span was written."""
-    status = 1
-    try:
-        # no collection in the child, so no finalizer of the parent's garbage
-        # (a file with buffered writes, say) runs a second time
-        gc.disable()
-        with os.fdopen(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as handle:
-            handle.writelines(_row_blocks(fmt, dt, cols, lo, hi))
-        status = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())  # the traceback, as for an uncaught error
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
+    """Write rows lo..hi-1 to the part file, in a forked child."""
+    with os.fdopen(os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as handle:
+        handle.writelines(_row_blocks(fmt, dt, cols, lo, hi))
 
 
 def _series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col, path: Path | None = None):
@@ -152,8 +322,8 @@ def _series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col
     span. The generator formats span 0 itself and forks one child per later
     span, which formats it into a sibling part file; the parts are reaped and
     copied in order, _COPY_CHARS at a time. On exit, also by close() or an
-    exception, every child not yet reaped is killed and reaped and every part
-    file removed.
+    exception, every child not yet reaped is killed and reaped (see _forked)
+    and every part file removed.
     """
     dt = float(dt)
     cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
@@ -164,31 +334,20 @@ def _series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col
         empty = json.dumps({"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": []}, indent=2, sort_keys=True)
         head, tail = empty.split("[]")
         head, tail = head + ("[\n" if size else "[]"), ("\n  ]" if size else "") + tail + "\n"
-    spans = 1 if path is None or not hasattr(os, "fork") else max(1, min(_cpu_count(), size // _SPAN_ROWS))
+    spans = 1 if path is None else _span_count(size, _SPAN_ROWS)
     bounds = [k * size // spans for k in range(spans + 1)]
+    later = [(path.parent / f".{path.name}.{secrets.token_hex(8)}.part", lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     yield head
-    children = {}  # pid -> its span, while not reaped
-    parts = []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            parts.append(path.parent / f".{path.name}.{secrets.token_hex(8)}.part")
-            pid = os.fork()
-            if pid == 0:
-                _format_part(parts[-1], fmt, dt, cols, lo, hi)
-            children[pid] = lo, hi
-        yield from _row_blocks(fmt, dt, cols, bounds[0], bounds[1])
-        for part, (pid, (lo, hi)) in zip(parts, list(children.items())):
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if status:
-                raise SimulationError(f"series file {path}: the child process formatting steps {lo + 1}..{hi} exited with status {status}")
-            with part.open() as handle:
-                yield from iter(functools.partial(handle.read, _COPY_CHARS), "")
+        with _forked(functools.partial(_format_part, part, fmt, dt, cols, lo, hi) for part, lo, hi in later) as statuses:
+            yield from _row_blocks(fmt, dt, cols, bounds[0], bounds[1])
+            for (part, lo, hi), status in zip(later, statuses):
+                if status:
+                    raise SimulationError(f"series file {path}: the child process formatting steps {lo + 1}..{hi} exited with status {status}")
+                with part.open() as handle:
+                    yield from iter(functools.partial(handle.read, _COPY_CHARS), "")
     finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
+        for part, _, _ in later:
             part.unlink(missing_ok=True)
     yield tail
 

@@ -89,8 +89,6 @@ def inverse_2q() -> dict:
         "target": "inverse-expectation",
         "seed": 23,
         "problem": {"kind": "pauli-terms", "terms": _DYADIC_2Q_TERMS},
-        "delta": {"kind": "projector-from-state", "state": "uniform"},
-        "weight": {"kind": "inverse"},
         "qpe": dict(_DYADIC_2Q_QPE),
         "eth": {"dt": _DYADIC_2Q_DT, "num_steps": 2560},
         "phi": "uniform",
@@ -108,7 +106,6 @@ def logdet_2q() -> dict:
         "seed": 29,
         "problem": {"kind": "pauli-terms", "terms": _DYADIC_2Q_TERMS},
         "delta": {"kind": "derivative-mask", "entries": ((0, 0, 1.0), (3, 3, 1.0), (1, 2, 0.5), (2, 1, 0.5))},
-        "weight": {"kind": "inverse"},
         "qpe": dict(_DYADIC_2Q_QPE),
         "eth": {"dt": _DYADIC_2Q_DT, "num_steps": 2560},
         "expected": 5.0,
@@ -130,8 +127,6 @@ def condition_sweep() -> dict:
         "target": "inverse-expectation",
         "seed": 37,
         "problem": {"kind": "pauli-terms", "terms": terms},
-        "delta": {"kind": "projector-from-state", "state": "uniform"},
-        "weight": {"kind": "inverse"},
         "qpe": {"m": 7, "shift": -0.25, "scale": 0.4},
         "eth": {"dt": 0.37, "num_steps": 4096},
         "phi": "uniform",

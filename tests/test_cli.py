@@ -191,7 +191,7 @@ class TestRunCommand:
         [
             (b"\xff2\n1.0 0.0 0.0 0.0\n0.0 0.0 1.0 0.0\n", "first line must be the dimension"),
             # a small file: a text-mode reader decoded this row while reading the header
-            (b"2\n1.0 0.0 0.0 0.0\n0.0 0.0 \xff 0.0\n", "expected 2 rows of 4 numbers (could not convert string '\xff' to float64 at row 1, column 3.)"),
+            (b"2\n1.0 0.0 0.0 0.0\n0.0 0.0 \xff 0.0\n", "expected 2 rows of 4 numbers; line 3: could not convert string '\xff' to float64 at column 3."),
         ],
     )
     def test_a_byte_that_is_not_text_names_its_line(self, tmp_path, capsys, body, message):

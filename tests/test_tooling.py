@@ -89,14 +89,18 @@ def test_readme_library_use_names_are_exported():
 
 
 def test_readme_block_budgets_equal_the_module_constants():
-    """Each block budget the README states, by name and in its prose, and the
-    series writer's block height and least span height are the module
+    """Each block budget the README states, by name and in its prose, the
+    series writer's block height and least span height, and the matrix-file
+    reader's least span, parse chunk and read block are the module
     constants' values, so a changed budget cannot leave stale text."""
     readme = (ROOT / "README.md").read_text()
     constants = {
         "_CHUNK_BYTES": ethsim.estimators._CHUNK_BYTES,
         "_SHOT_BYTES": ethsim.estimators._SHOT_BYTES,
         "_ROW_BYTES": ethsim.core._ROW_BYTES,
+        "_SPAN_BYTES": ethsim.fileio._SPAN_BYTES,
+        "_PARSE_BYTES": ethsim.fileio._PARSE_BYTES,
+        "_READ_BYTES": ethsim.fileio._READ_BYTES,
     }
     units = {"KiB": 2**10, "MiB": 2**20}
     named = re.findall(r"(\d+)\s+(KiB|MiB),?\s+\(?`(_[A-Z]+_BYTES)`", readme)
