@@ -30,9 +30,15 @@ SERIES_COLUMNS = ("step", "t", "sample", "running_mean", "running_se")
 # series rows formatted per block of the CSV writer
 _CSV_ROWS = 1024
 # least rows per span of the forked series writer. On a 2-vCPU VM a fork,
-# exit and wait took about 2 ms, two spans of 4096 rows were as often slower
-# than one span as faster, and two of 6144 or more were faster
+# exit and wait took about 2 ms; two spans of 2048 rows were slower than one
+# span, two of 3072 or 4096 faster in some sets of runs and slower in
+# others, and two of 5120 or more faster (see README)
 _SPAN_ROWS = 8 * _CSV_ROWS
+# a block where at least one float in this many repeats another formats each
+# distinct float once; below that the index of distinct floats costs more
+# than it saves (on a 2-vCPU VM the two broke even at about 160 repeats in
+# 1024 floats, and the index cost 80-110 us more at 32 repeats)
+_REPEAT_SHARE = 8
 # characters per read when a span's part file is copied into the series file
 _COPY_CHARS = 2**16
 # least body bytes per span of the forked matrix-file reader (see README)
@@ -47,23 +53,26 @@ def atomic_write_text(path, text) -> Path:
     """Write text, one str or an iterable of str blocks, via a sibling temp
     file and rename, so readers never see a half-written file. The blocks
     go through one writelines call, so an iterable is written as it is
-    produced and never joined; a block that raises leaves no temp file. A
-    path that cannot be written is a ConfigError naming it."""
+    produced and never joined; a block that raises leaves no temp file and
+    its error propagates. A directory that cannot be made, a temp file that
+    cannot be opened or a rename that fails is a ConfigError naming the path."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
-    fd = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         # mode 0o666 leaves the permissions to the umask, as for any new file
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if fd is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, (FileExistsError, NotADirectoryError, IsADirectoryError, PermissionError)):
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        tmp.unlink(missing_ok=True)
         raise
     return path
 
@@ -72,8 +81,8 @@ def write_matrix_file(path, entries) -> Path:
     entries = np.asarray(entries, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {entries.shape}")
-    # one line per row, streamed; plain-float repr: numpy scalar reprs are not parseable numbers
-    rows = (" ".join(f"{float(x.real)!r} {float(x.imag)!r}" for x in row) + "\n" for row in entries)
+    # one line per row of re, im pairs, streamed
+    rows = (" ".join(_float_texts(np.ascontiguousarray(row).view(float))) + "\n" for row in entries)
     return atomic_write_text(path, itertools.chain([f"{entries.shape[0]}\n"], rows))
 
 
@@ -292,20 +301,62 @@ def _forked(tasks):
             os.waitpid(pid, 0)
 
 
+def _float_texts(block: np.ndarray, names: dict | None = None) -> list[str]:
+    """The repr of each float of a float64 block; names respells a
+    non-finite repr (JSON's NaN and Infinity). A sort of the block's 64-bit
+    patterns and a neighbour compare count its repeats. A block where at
+    least one float in _REPEAT_SHARE repeats formats each distinct pattern
+    once, so 0.0 and -0.0, or NaNs of different payloads, are never merged,
+    and indexes the texts; any other block formats float by float."""
+    bits = block.view(np.int64)
+    # a stable sort: it is quick on the sorted runs of t and the running
+    # columns, and after the six presets its first call mapped 0.06 MiB of
+    # numpy code where the default quicksort's mapped 0.31 MiB
+    keys = np.sort(bits, kind="stable")
+    first = np.empty(keys.size, bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    repeats = keys.size - np.count_nonzero(first)
+    if repeats == 0 or repeats * _REPEAT_SHARE < keys.size:
+        keys, index = block, None
+    else:
+        keys = keys[first]
+        index = np.searchsorted(keys, bits)
+        keys = keys.view(float)
+    texts = list(map(repr, keys.tolist()))
+    if names is not None and not np.isfinite(keys).all():
+        texts = [names.get(text, text) for text in texts]
+    return texts if index is None else np.array(texts, object)[index].tolist()
+
+
+# json's spelling of the non-finite float reprs
+_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# per format: the text before a block's first row (by whether it is the
+# series' first), before each later row, between a row's fields and after
+# the block's last row
+_ROW_TEXT = {
+    "csv": (("", ""), "\n", ",", "\n"),
+    "json": (("    [\n      ", ",\n    [\n      "), "\n    ],\n    [\n      ", ",\n      ", "\n    ]"),
+}
+
+
 def _row_blocks(fmt: str, dt: float, cols, lo: int, hi: int):
-    """Rows lo..hi-1 of the series body, _CSV_ROWS at a time, each block one
-    f-string per row over tolist() columns, so only one block's Python floats
-    and text are held at once. A JSON block after row 0 starts with the
-    separator, so the text of a row range does not depend on where it is cut."""
+    """Rows lo..hi-1 of the series body, _CSV_ROWS at a time, each block
+    one join of its fields: the step, t = np.arange(...) * dt (bit for bit
+    j * dt) and the three columns, each float column formatted by
+    _float_texts, so only one block's text is held at once. A JSON block
+    after row 0 starts with the separator, so the text of a row range does
+    not depend on where it is cut."""
+    names = None if fmt == "csv" else _JSON_NAMES
+    (at_zero, at_cut), lead, sep, tail = _ROW_TEXT[fmt]
     for start in range(lo, hi, _CSV_ROWS):
-        xs, ms, ses = (col[start : min(start + _CSV_ROWS, hi)].tolist() for col in cols)
-        steps = range(start + 1, start + 1 + len(xs))
-        if fmt == "csv":
-            yield "".join([f"{j},{j * dt!r},{x!r},{m!r},{se!r}\n" for j, x, m, se in zip(steps, xs, ms, ses)])
-        else:
-            text = ",\n".join([f"    [\n      {j},\n      {j * dt!r},\n      {x!r},\n      {m!r},\n      {se!r}\n    ]" for j, x, m, se in zip(steps, xs, ms, ses)])
-            # only a non-finite repr has letters n, a, i, f: "-inf" becomes "-Infinity"
-            yield (",\n" if start else "") + text.replace("nan", "NaN").replace("inf", "Infinity")
+        end = min(start + _CSV_ROWS, hi)
+        parts = [lead, None, sep, None, sep, None, sep, None, sep, None] * (end - start) + [tail]
+        parts[0] = at_cut if start else at_zero
+        parts[1::10] = map(str, range(start + 1, end + 1))
+        for k, col in enumerate((np.arange(start + 1, end + 1) * dt, *(col[start:end] for col in cols)), 1):
+            parts[2 * k + 1 :: 10] = _float_texts(col, names)
+        yield "".join(parts)
 
 
 def _format_part(part: Path, fmt: str, dt: float, cols, lo: int, hi: int):

@@ -68,6 +68,24 @@ class TestPresetCommand:
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("case", ["long-name", "removed-cwd"])
+    def test_an_uncreatable_output_directory_exits_2(self, tmp_path, monkeypatch, capsys, case):
+        # a name longer than the file system allows (OSError, ENAMETOOLONG), or
+        # a directory in a removed working directory (FileNotFoundError)
+        if case == "long-name":
+            out_dir = tmp_path / ("d" * 300)
+        else:
+            gone = tmp_path / "gone"
+            gone.mkdir()
+            monkeypatch.chdir(gone)
+            gone.rmdir()
+            out_dir = Path("out")
+        code, _, err = run_cli(capsys, "preset", "inverse-2q", "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error [config]: cannot write {out_dir / 'inverse-2q_series.csv'}: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*")) == []
+
     def test_emit_config_then_run(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "preset", "logdet-2q", "--emit-config", "--out-dir", str(tmp_path)

@@ -465,6 +465,23 @@ class TestMatrixFile:
             read_matrix_file(tmp_path / "absent.mat")
 
 
+def element_rows(dt, series, rm, se):
+    """The earlier writer's rows: one float() per numpy element."""
+    dt = float(dt)
+    for j in range(len(series)):
+        yield j + 1, (j + 1) * dt, float(series[j]), float(rm[j]), float(se[j])
+
+
+def reference_series_text(fmt, dt, series, rm, se):
+    """The series file as the earlier per-element writer made it: a repr per
+    float in CSV, json.dumps of the payload in JSON."""
+    rows = list(element_rows(dt, series, rm, se))
+    if fmt == "csv":
+        return "".join(["step,t,sample,running_mean,running_se\n"] + [f"{a},{b!r},{c!r},{d!r},{e!r}\n" for a, b, c, d, e in rows])
+    payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": [list(r) for r in rows]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestSeriesFiles:
     SERIES = np.array([0.5, 0.7, 0.6])
     RM = np.array([0.5, 0.6, 0.6])
@@ -487,13 +504,6 @@ class TestSeriesFiles:
         assert data["rows"][2][2] == pytest.approx(0.6)
 
     @staticmethod
-    def element_rows(dt, series, rm, se):
-        """The earlier writer's rows: one float() per numpy element."""
-        dt = float(dt)
-        for j in range(len(series)):
-            yield j + 1, (j + 1) * dt, float(series[j]), float(rm[j]), float(se[j])
-
-    @staticmethod
     def edge_columns(seed):
         rng = np.random.default_rng(seed)
         edges = [-0.0, 0.0, 1e-7, -1e-7, 1e22, -1e22, 5e-324, 2.2e-308, 1e-310, 3.0, -2.0, 1e16, 0.1, 1.0 / 3.0]
@@ -511,11 +521,8 @@ class TestSeriesFiles:
             monkeypatch.setattr(fileio, "_CSV_ROWS", block_rows)
         series, rm, se = self.edge_columns(seed)
         dt = np.float64(0.01 * math.pi)
-        rows = list(self.element_rows(dt, series, rm, se))
-        csv = "\n".join(["step,t,sample,running_mean,running_se"] + [f"{a},{b!r},{c!r},{d!r},{e!r}" for a, b, c, d, e in rows]) + "\n"
-        assert "".join(series_csv_blocks(dt, series, rm, se)) == csv
-        payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": [list(r) for r in rows]}
-        assert "".join(series_json_blocks(dt, series, rm, se)) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert "".join(series_csv_blocks(dt, series, rm, se)) == reference_series_text("csv", dt, series, rm, se)
+        assert "".join(series_json_blocks(dt, series, rm, se)) == reference_series_text("json", dt, series, rm, se)
 
     @pytest.mark.parametrize("block_rows", [1, 3, None])
     def test_json_bytes_match_json_dumps_on_non_finite_and_empty_columns(self, monkeypatch, block_rows):
@@ -524,9 +531,7 @@ class TestSeriesFiles:
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22, 4.0, -1e-7])
         for n in (0, 1, 5, 8):
             cols = (special[:n], special[::-1][:n], np.roll(special, 3)[:n])
-            rows = [list(r) for r in self.element_rows(0.5, *cols)]
-            payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": rows}
-            assert "".join(series_json_blocks(0.5, *cols)) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert "".join(series_json_blocks(0.5, *cols)) == reference_series_text("json", 0.5, *cols)
 
     def test_write_series_both_formats(self, tmp_path):
         p_csv = write_series(tmp_path / "s.csv", "csv", 0.1, self.SERIES, self.RM, self.SE)

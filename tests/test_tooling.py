@@ -90,9 +90,9 @@ def test_readme_library_use_names_are_exported():
 
 def test_readme_block_budgets_equal_the_module_constants():
     """Each block budget the README states, by name and in its prose, the
-    series writer's block height and least span height, and the matrix-file
-    reader's least span, parse chunk and read block are the module
-    constants' values, so a changed budget cannot leave stale text."""
+    series writer's block height, least span height and repeat share, and
+    the matrix-file reader's least span, parse chunk and read block are the
+    module constants' values, so a changed budget cannot leave stale text."""
     readme = (ROOT / "README.md").read_text()
     constants = {
         "_CHUNK_BYTES": ethsim.estimators._CHUNK_BYTES,
@@ -118,6 +118,8 @@ def test_readme_block_budgets_equal_the_module_constants():
     assert rows and all(int(v) == ethsim.fileio._CSV_ROWS for v in rows)
     spans = re.findall(r"at least (\d+) rows \(`_SPAN_ROWS`", " ".join(readme.split()))
     assert spans and all(int(v) == ethsim.fileio._SPAN_ROWS for v in spans)
+    shares = re.findall(r"one float in (\d+) \(`_REPEAT_SHARE`", " ".join(readme.split()))
+    assert shares and all(int(v) == ethsim.fileio._REPEAT_SHARE for v in shares)
 
 
 def test_readme_gives_the_dense_operator_constructor():
