@@ -135,20 +135,19 @@ class EthEstimate:
     standard_error: float
     series: np.ndarray
     running_mean: np.ndarray
+    running_se: np.ndarray
     cost: CostCounters
     thermalized: ThermalizationVerdict
     register_residual: float = 0.0
 
     def __post_init__(self):
-        series = np.asarray(self.series, dtype=float)
-        rm = np.asarray(self.running_mean, dtype=float)
-        series.setflags(write=False)
-        rm.setflags(write=False)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "running_mean", rm)
-        if rm.shape != series.shape:
-            raise DomainError("running_mean length must match the series")
-        if abs(rm[-1] - self.estimate) > 1e-12 * (1.0 + abs(self.estimate)):
+        for name in ("series", "running_mean", "running_se"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+            if column.shape != self.series.shape:
+                raise DomainError(f"{name} length must match the series")
+        if abs(self.running_mean[-1] - self.estimate) > 1e-12 * (1.0 + abs(self.estimate)):
             raise DomainError("estimate must equal the final running mean")
 
 
@@ -193,6 +192,11 @@ def batch_means_standard_error(series: np.ndarray, n_batches: int = DEFAULT_BATC
     size = series.size // nb
     means = series[: nb * size].reshape(nb, size).mean(axis=1)
     return float(means.std(ddof=1) / np.sqrt(nb))
+
+
+def _statistics(series: np.ndarray) -> tuple:
+    """The one reducer: a series' running_mean and running_se columns and its batch-means SE."""
+    return running_mean(series), running_standard_error(series), batch_means_standard_error(series)
 
 
 def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVector:
@@ -334,7 +338,8 @@ def thermalization_diagnostics(series, spec: Spectrum, delta: DenseOperator, r: 
     left, right = eigenbasis_factors(spec, delta)
     diag_target = eigenbasis_ensemble(spec, left, r, right)
     comm = spectral_commutator_norm(spec, delta)
-    return _diagnose(running_mean(series), batch_means_standard_error(series), spec, (left, right, 1.0), diag_target, comm)
+    rm, _, se = _statistics(series)
+    return _diagnose(rm, se, spec, (left, right, 1.0), diag_target, comm)
 
 
 def swap_test_estimate(a: StateVector, b: StateVector, shots: int, seed: int) -> float:
@@ -406,8 +411,8 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) 
     is never formed: the diagonal ensemble reads only the weighted diagonal
     and the blocks of degeneracy groups, and within a group every row carries
     the same weight. The concatenated series (one repetition's own array,
-    uncopied) then gets its running mean, SE and verdict; commutator() is
-    called once, after the series.
+    uncopied) then gets its columns and SE from _statistics, and its verdict;
+    commutator() is called once, after the series.
     """
     all_samples = []
     diag_targets = []
@@ -423,8 +428,7 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) 
 
     series = all_samples[0] if len(all_samples) == 1 else np.concatenate(all_samples)
     del all_samples  # several repetitions' pieces, before the K-length statistics
-    rm = running_mean(series)
-    se = batch_means_standard_error(series)
+    rm, rse, se = _statistics(series)
     verdict = _diagnose(rm, se, spec, eff, float(np.mean(diag_targets)), commutator())
     steps = eth.repetitions * eth.num_steps
     shots = eth.shots * steps if eth.sampling == "shots" else 0
@@ -433,6 +437,7 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) 
         standard_error=se,
         series=series,
         running_mean=rm,
+        running_se=rse,
         cost=CostCounters(time_steps=steps, gate_tally=3 * steps, shots=shots),
         thermalized=verdict,
         register_residual=float(np.mean(residuals)),

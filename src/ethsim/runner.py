@@ -22,7 +22,7 @@ from .core import (
     uniform_superposition,
 )
 from .errors import ConfigError, DomainError
-from .estimators import TARGET_ROWS, _run_target, running_standard_error
+from .estimators import TARGET_ROWS, _run_target
 from .fileio import read_matrix_file, write_series, write_summary
 from .presets import diagonal_pauli_terms, sweep_eigenvalues
 from .reporting import SCHEMA_VERSION, RunReport
@@ -102,7 +102,7 @@ def _execute_single(config: ExperimentConfig) -> ExecutionResult:
         config.eth.dt,
         result.raw.series,
         result.raw.running_mean,
-        running_standard_error(result.raw.series),
+        result.raw.running_se,
     )
 
     report = RunReport(
