@@ -132,9 +132,12 @@ class ExperimentConfig:
             _fail("target", f"unknown target {self.target!r}; expected one of {TARGETS}")
         if self.form not in FORMS:
             _fail("form", f"unknown form {self.form!r}; expected one of {FORMS}")
-        forms, observable, _, _ = TARGET_ROWS[self.target]
+        forms, observable, fixed, _ = TARGET_ROWS[self.target]
         if self.form not in forms:
             _fail("form", f"target {self.target!r} runs only in the {' or '.join(forms)} form")
+        if fixed is not None:
+            # the row's own weight, so the run, to_dict and every echo agree; a weight block is unread
+            object.__setattr__(self, "weight", fixed)
         if (observable == "phi" or self.form == "vector") and self.phi is None:
             _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
         if self.eth.seed != self.seed:

@@ -74,6 +74,13 @@ def build_delta(config: ExperimentConfig, n_qubits: int) -> DenseOperator:
     return projector_from_state(resolve_state(spec.state, n_qubits))
 
 
+def _echo(config: ExperimentConfig) -> dict:
+    """to_dict without outputs.out_dir: a summary's bytes do not depend on its directory."""
+    echo = config.to_dict()
+    del echo["outputs"]["out_dir"]
+    return echo
+
+
 def _execute_single(config: ExperimentConfig) -> ExecutionResult:
     a = build_operator(config)
     n_qubits = a.dim.bit_length() - 1
@@ -118,7 +125,7 @@ def _execute_single(config: ExperimentConfig) -> ExecutionResult:
         cost=result.raw.cost,
         wall_time_s=wall,
         register_residual=result.raw.register_residual,
-        config_echo=config.to_dict(),
+        config_echo=_echo(config),
         series_file=series_name,
         expected=config.expected,
         tolerance=config.tolerance,
@@ -164,7 +171,7 @@ def _execute_sweep(config: ExperimentConfig) -> ExecutionResult:
         "seed": config.seed,
         "sweep": {"ratios": list(sweep.ratios), "seed": sweep.seed, "n_qubits": sweep.n_qubits},
         "runs": rows,
-        "config": config.to_dict(),
+        "config": _echo(config),
     }
     summary_path = write_summary(out_dir / f"{basename}_summary.json", summary)
     return ExecutionResult(

@@ -39,7 +39,8 @@ from ethsim.fileio import (
 )
 from ethsim.phase_estimation import QPE_MODES
 from ethsim.presets import PRESET_NAMES, build_preset
-from ethsim.weights import WEIGHT_KINDS
+from ethsim.runner import execute_experiment
+from ethsim.weights import INVERSE, WEIGHT_KINDS, WeightSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -216,11 +217,56 @@ class TestFromDict:
                     got, want = (read_summary(p) for p in (got, want))
                     for summary in (got, want):
                         summary["cost"].pop("wall_time_s")
-                        summary["config"]["outputs"].pop("out_dir")
+                        assert "out_dir" not in summary["config"]["outputs"]
                     assert got == want
                 else:
                     assert got.read_bytes() == want.read_bytes()
         assert read_summary(tmp_path / "ref-77" / "inverse-2q_summary.json")["seed"] == 77
+
+    @pytest.mark.parametrize("name", ["inverse-2q", "logdet-2q", "condition-sweep"])
+    def test_a_fixed_weight_preset_echoes_the_weight_it_uses(self, name, tmp_path, capsys):
+        """The config, every summary's echo and --emit-config give the row's
+        1/E under reject, and the emitted file loads as the same config."""
+        cfg = build_preset(name).with_outputs(out_dir=str(tmp_path))
+        assert cfg.weight == INVERSE
+        result = execute_experiment(cfg)
+        summaries = [result.summary] + [read_summary(tmp_path / f"{r.name}_summary.json") for r in result.reports]
+        assert len(summaries) == (5 if name == "condition-sweep" else 2)
+        for summary in summaries:
+            assert summary["config"]["weight"] == {"kind": "inverse", "policy": "reject", "eta": None}
+        assert main(["preset", name, "--emit-config", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / f"{name}.cfg").read_text()
+        assert "weight.kind = inverse\nweight.policy = reject\n" in text
+        assert replace(load_config(tmp_path / f"{name}.cfg"), base_dir=cfg.base_dir) == cfg
+
+    @pytest.mark.parametrize("form", ["operator", "vector"])
+    def test_a_weight_block_on_a_fixed_weight_row_is_replaced_by_the_row_weight(self, form):
+        data = self.base()
+        data["form"] = form
+        data["weight"] = {"kind": "identity_of_e", "policy": "regularize", "eta": 0.02}
+        cfg = from_dict(data)
+        assert cfg.weight == INVERSE
+        assert cfg.to_dict()["weight"] == {"kind": "inverse", "policy": "reject", "eta": None}
+        assert from_dict(cfg.to_dict()) == cfg
+
+    def test_a_time_average_row_keeps_its_configured_weight(self):
+        data = self.base()
+        data["target"] = "time-average"
+        data["weight"] = {"kind": "identity_of_e", "policy": "regularize", "eta": 0.02}
+        assert from_dict(data).weight == WeightSpec(kind="identity_of_e", policy="regularize", eta=0.02)
+
+    def test_the_summary_echo_leaves_out_the_output_directory(self, tmp_path):
+        """A summary's bytes do not depend on where it is written; to_dict keeps the key."""
+        texts = []
+        for sub in ("a", "a-much-longer-directory-name"):
+            cfg = build_preset("logdet-2q").with_outputs(out_dir=str(tmp_path / sub))
+            assert cfg.to_dict()["outputs"]["out_dir"] == str(tmp_path / sub)
+            summary = execute_experiment(cfg).summary
+            assert "out_dir" not in summary["config"]["outputs"]
+            summary["cost"].pop("wall_time_s")
+            texts.append(json.dumps(summary, sort_keys=True))
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize(
         "block,key,value",

@@ -59,7 +59,7 @@ def test_same_bytes_as_the_one_span_blocks(tmp_path, cpus, fmt, size):
         forks = cpus(count)
         forks.clear()
         path = write_series(tmp_path / f"s.{fmt}", fmt, 0.01 * np.pi, *cols)
-        assert path.read_text() == expected, count
+        assert path.read_text().splitlines(keepends=True) == expected.splitlines(keepends=True), count
         assert len(forks) == max(1, min(count, size // fileio._SPAN_ROWS)) - 1
         assert list(tmp_path.iterdir()) == [path]
         assert_no_child_left()
@@ -71,7 +71,7 @@ def test_without_fork_the_rows_are_one_span(tmp_path, monkeypatch, cpus, fmt):
     monkeypatch.delattr(os, "fork")
     cols = edge_columns(4 * fileio._SPAN_ROWS)
     path = write_series(tmp_path / f"s.{fmt}", fmt, 0.5, *cols)
-    assert path.read_text() == "".join(BLOCKS[fmt](0.5, *cols))
+    assert path.read_text().splitlines(keepends=True) == "".join(BLOCKS[fmt](0.5, *cols)).splitlines(keepends=True)
 
 
 def test_the_cpu_count_is_the_affinity_set_or_the_cpu_count(monkeypatch):

@@ -82,7 +82,7 @@ class TestStreamedWrite:
         path = tmp_path / f"s.{fmt}"
         assert traced_peak(lambda: write_series(path, fmt, 0.5, *cols)) <= 2**20
         blocks = {"csv": series_csv_blocks, "json": series_json_blocks}[fmt]
-        assert path.read_text() == "".join(blocks(0.5, *cols))
+        assert path.read_text().splitlines(keepends=True) == "".join(blocks(0.5, *cols)).splitlines(keepends=True)
 
     def test_matrix_file_streams_its_rows(self, tmp_path):
         rng = np.random.default_rng(14)

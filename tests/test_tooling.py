@@ -122,6 +122,14 @@ def test_readme_block_budgets_equal_the_module_constants():
     assert shares and all(int(v) == ethsim.fileio._REPEAT_SHARE for v in shares)
 
 
+def test_readme_batch_count_equals_the_module_constant():
+    """The batch count the README gives for the summary's batch-means
+    standard error is ethsim.estimators.DEFAULT_BATCHES."""
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    batches = re.findall(r"into (\d+) equal batches \(`DEFAULT_BATCHES`\)", readme)
+    assert batches and all(int(v) == ethsim.estimators.DEFAULT_BATCHES for v in batches)
+
+
 def test_readme_gives_the_dense_operator_constructor():
     """The DenseOperator call the README's "Library use" section spells out
     takes exactly the constructor's parameters, with their defaults."""
