@@ -40,7 +40,7 @@ from ethsim.fileio import (
 from ethsim.phase_estimation import QPE_MODES
 from ethsim.presets import PRESET_NAMES, build_preset
 from ethsim.runner import execute_experiment
-from ethsim.weights import INVERSE, WEIGHT_KINDS, WeightSpec
+from ethsim.weights import INVERSE, WEIGHT_KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -249,12 +249,6 @@ class TestFromDict:
         assert cfg.weight == INVERSE
         assert cfg.to_dict()["weight"] == {"kind": "inverse", "policy": "reject", "eta": None}
         assert from_dict(cfg.to_dict()) == cfg
-
-    def test_a_time_average_row_keeps_its_configured_weight(self):
-        data = self.base()
-        data["target"] = "time-average"
-        data["weight"] = {"kind": "identity_of_e", "policy": "regularize", "eta": 0.02}
-        assert from_dict(data).weight == WeightSpec(kind="identity_of_e", policy="regularize", eta=0.02)
 
     def test_the_summary_echo_leaves_out_the_output_directory(self, tmp_path):
         """A summary's bytes do not depend on where it is written; to_dict keeps the key."""

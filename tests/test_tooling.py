@@ -126,7 +126,7 @@ def test_readme_batch_count_equals_the_module_constant():
     """The batch count the README gives for the summary's batch-means
     standard error is ethsim.estimators.DEFAULT_BATCHES."""
     readme = " ".join((ROOT / "README.md").read_text().split())
-    batches = re.findall(r"into (\d+) equal batches \(`DEFAULT_BATCHES`\)", readme)
+    batches = re.findall(r"into (\d+) equal batches \(`DEFAULT_BATCHES`", readme)
     assert batches and all(int(v) == ethsim.estimators.DEFAULT_BATCHES for v in batches)
 
 
