@@ -138,8 +138,11 @@ class ExperimentConfig:
         if fixed is not None:
             # the row's own weight, so the run, to_dict and every echo agree; a weight block is unread
             object.__setattr__(self, "weight", fixed)
-        if (observable == "phi" or self.form == "vector") and self.phi is None:
-            _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
+        if observable == "phi" or self.form == "vector":
+            if self.phi is None:
+                _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
+            # the run measures phi: the default stands in for a delta block, and to_dict omits it
+            object.__setattr__(self, "delta", DeltaSpec("identity"))
         if self.eth.seed != self.seed:
             _fail("eth.seed", "must equal the top-level seed (set only the top-level one)")
 
@@ -151,6 +154,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         data = _dump(_ROOT, self)
+        if TARGET_ROWS[self.target][1] == "phi" or self.form == "vector":
+            del data["delta"]
         # an empty basename stands for the config's name, as the runner reads it
         data["outputs"]["basename"] = self.outputs.basename or self.name
         return data

@@ -25,7 +25,7 @@ from .core import DenseOperator, StateVector, projector_from_state, random_state
 from .errors import ConfigError, DomainError
 from .phase_estimation import (
     QpeConfig,
-    decoded_energies,
+    eigen_weights,
     reached_weight_table,
     register_amplitudes,
     register_weights,
@@ -46,11 +46,8 @@ PLATEAU_TOL_FLOOR = 1e-6
 INTEGRABLE_COMMUTATOR_TOL = 1e-10
 DEFAULT_BATCHES = 10
 
-_CHUNK = 1 << 15
-# byte budget of one block of evolved eigen-coefficients (N complex rows)
-_CHUNK_BYTES = 2 << 20
-# byte budget of a shot sub-block's largest transient (r * max(N, 2^m) complex per step)
-_SHOT_BYTES = 1 << 20
+# byte budget of a block of steps: of evolved coefficients, and of a shot sub-block's largest transient
+_CHUNK_BYTES = 1 << 20
 # steps per row of the phase table: one exponential per eigenvalue per this many steps
 _PHASE_WIDTH = 64
 
@@ -210,10 +207,9 @@ def _resolve_initial_state(eth: EthConfig, n_qubits: int, rep: int) -> StateVect
     return random_state(n_qubits, seed, ensemble=init.kind)
 
 
-def _chunk_columns(dim: int) -> int:
-    """Time steps per block: at most _CHUNK, and at most _CHUNK_BYTES of
-    complex coefficients for an N = dim system."""
-    return min(_CHUNK, _CHUNK_BYTES // (16 * dim))
+def _chunk_columns(per_step: int) -> int:
+    """Time steps per block of per_step complex numbers each: at most _CHUNK_BYTES, at least one step."""
+    return max(1, _CHUNK_BYTES // (16 * per_step))
 
 
 def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: int):
@@ -235,7 +231,7 @@ def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: 
         offsets = np.exp(1.0j * np.outer(angle, _PHASE_WIDTH * np.arange(first, last)))
         lo, hi = start - first * _PHASE_WIDTH, stop - first * _PHASE_WIDTH
         if last - first == 1:
-            # a block inside one table row (N > 2^11) takes only its own columns
+            # a block inside one table row (N >= 2^10) takes only its own columns
             yield offsets * table[:, lo:hi]
         else:
             yield (offsets[:, :, None] * table[:, None, :]).reshape(eigenvalues.size, -1)[:, lo:hi]
@@ -407,8 +403,8 @@ def _time_average(spec: Spectrum, eth: EthConfig, eff: tuple, draw, commutator) 
     Per repetition: resolve the initial state r, take c = V^dag r, sample the
     series with draw(rep, c) -> (samples, register residual) and record the
     diagonal ensemble of Delta_eff^eig = diag(weights) P Q^dag, given as
-    eff = (P, Q, weights), weights being w at the decoded_energies. Delta_eff
-    is never formed: the diagonal ensemble reads only the weighted diagonal
+    eff = (P, Q, weights), the weights from eigen_weights. Delta_eff is
+    never formed: the diagonal ensemble reads only the weighted diagonal
     and the blocks of degeneracy groups, and within a group every row carries
     the same weight. The concatenated series (one repetition's own array,
     uncopied) then gets its columns and SE from _statistics, and its verdict;
@@ -473,15 +469,14 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
         rng = substream(eth.seed, "shots", rep)
         # values holds r * 2^m outcomes and the zero one; a step's largest
         # transient is its r x N weighted overlaps or its r x 2^m amplitudes
-        rank = max(1, (values.size - 1) // table.size)
-        width = max(1, _SHOT_BYTES // (16 * rank * max(spec.dim, table.size)))
+        width = _chunk_columns((values.size - 1) // table.size * max(spec.dim, table.size))
         # a row sum, not counts @ values, whose rounding depends on the block height
         totals = [(rng.multinomial(eth.shots, probabilities(block[:, i : i + width])) * values).sum(axis=1)
                   for block in _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps)
                   for i in range(0, block.shape[1], width)]
         return np.concatenate(totals) / eth.shots, 0.0
 
-    eff = (left, right, w.evaluate(decoded_energies(spec, qpe, amps), spec.spectral_range))
+    eff = (left, right, eigen_weights(spec, qpe, amps, w))
     return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, delta))
 
 
@@ -501,7 +496,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
     prob = np.abs(amps) ** 2
     b = spec.coefficients(phi.amplitudes)
     # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag: P = Q = b
-    eff = (b[:, None], b[:, None], w.evaluate(decoded_energies(spec, qpe, amps), spec.spectral_range))
+    eff = (b[:, None], b[:, None], eigen_weights(spec, qpe, amps, w))
 
     def draw(rep, coeffs):
         # Bin occupancies do not depend on t. After entangling, weighting the

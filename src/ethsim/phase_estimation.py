@@ -8,7 +8,7 @@ reproduces the finite-register leakage of real phase estimation.
 
 This module alone knows the register mode. The estimators work from
 register_amplitudes, reached_weight_table, register_weights and
-decoded_energies; the per-state pipeline and the dense joint-space matrices
+eigen_weights; the per-state pipeline and the dense joint-space matrices
 compute the same quantities step by step and are kept as the tests'
 references.
 """
@@ -368,13 +368,12 @@ def _bin_weights(reached: np.ndarray, config: QpeConfig, w: WeightSpec) -> np.nd
     return table
 
 
-def decoded_energies(spec: Spectrum, config: QpeConfig, amps: np.ndarray) -> np.ndarray:
-    """The energy each eigenvalue's weight sees, read off its register row
-    a[p, :] = amps[p]: the decoded energy of its one-hot bin in exact
-    binning, the eigenvalue itself in circuit mode."""
-    if config.mode == "circuit":
-        return spec.eigenvalues
-    return energy_table(config)[np.abs(amps).argmax(axis=1)]
+def eigen_weights(spec: Spectrum, config: QpeConfig, amps: np.ndarray, w: WeightSpec) -> np.ndarray:
+    """w at the energy each eigenvalue's weight sees, read off its register row
+    a[p, :] = amps[p] (its one-hot bin's decoded energy in exact binning, the
+    eigenvalue itself in circuit mode), under the bin table's window."""
+    energies = spec.eigenvalues if config.mode == "circuit" else energy_table(config)[np.abs(amps).argmax(axis=1)]
+    return w.evaluate(energies, config.representable_span)
 
 
 def joint_observable_matrix(delta: DenseOperator, spec: Spectrum, config: QpeConfig, w: WeightSpec) -> np.ndarray:

@@ -18,6 +18,7 @@ from ethsim.config import (
     FORMS,
     PROBLEM_KINDS,
     TARGETS,
+    DeltaSpec,
     ExperimentConfig,
     OutputSpec,
     from_dict,
@@ -26,7 +27,7 @@ from ethsim.config import (
     parse_keyvalue_text,
     to_keyvalue_text,
 )
-from ethsim.estimators import INITIAL_STATE_KINDS, SAMPLING_MODES
+from ethsim.estimators import INITIAL_STATE_KINDS, SAMPLING_MODES, TARGET_ROWS
 from ethsim.fileio import (
     atomic_write_text,
     read_matrix_file,
@@ -66,7 +67,9 @@ class TestFromDict:
         if key == "phi":
             data["phi"] = amplitudes
         else:
-            data["delta"]["state"] = amplitudes
+            # the time-average target reads the delta block; inverse-2q's measures phi
+            data["target"] = "time-average"
+            data["delta"] = {"kind": "projector-from-state", "state": amplitudes}
         cfg = from_dict(data)
         assert from_dict(data) == cfg
         assert hash(from_dict(data)) == hash(cfg)
@@ -248,6 +251,33 @@ class TestFromDict:
         cfg = from_dict(data)
         assert cfg.weight == INVERSE
         assert cfg.to_dict()["weight"] == {"kind": "inverse", "policy": "reject", "eta": None}
+        assert from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_preset_emits_a_delta_block_only_if_it_reads_one(self, name, tmp_path, capsys):
+        """to_dict, --emit-config and every summary's echo carry a delta block
+        exactly when the run measures it; the emitted file loads as the same config."""
+        cfg = build_preset(name).with_outputs(out_dir=str(tmp_path))
+        reads = cfg.form == "operator" and TARGET_ROWS[cfg.target][1] == "delta"
+        assert ("delta" in cfg.to_dict()) == reads
+        assert from_dict(cfg.to_dict()) == cfg
+        assert main(["preset", name, "--emit-config", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / f"{name}.cfg").read_text()
+        assert ("\ndelta.kind = " in text) == reads
+        assert replace(load_config(tmp_path / f"{name}.cfg"), base_dir=cfg.base_dir) == cfg
+        if not reads:
+            result = execute_experiment(cfg)
+            summaries = [result.summary] + [read_summary(tmp_path / f"{r.name}_summary.json") for r in result.reports]
+            assert all("delta" not in summary["config"] for summary in summaries)
+
+    @pytest.mark.parametrize("target,form", [("time-average", "vector"), ("inverse-expectation", "operator"), ("inverse-expectation", "vector")])
+    def test_a_delta_block_on_a_row_that_measures_phi_is_replaced_by_the_default(self, target, form):
+        data = self.base()
+        data.update(target=target, form=form, delta={"kind": "all-ones", "scale": 0.5})
+        cfg = from_dict(data)
+        assert cfg.delta == DeltaSpec("identity")
+        assert "delta" not in cfg.to_dict()
         assert from_dict(cfg.to_dict()) == cfg
 
     def test_the_summary_echo_leaves_out_the_output_directory(self, tmp_path):

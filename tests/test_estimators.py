@@ -39,10 +39,10 @@ from ethsim import (
 )
 from ethsim.core import all_ones_delta, derivative_mask, identity_operator
 from ethsim import estimators
+from ethsim.config import from_dict
 from ethsim.core import MAX_QUBITS
 from ethsim.errors import SingularityError
 from ethsim.estimators import (
-    _CHUNK,
     _CHUNK_BYTES,
     _chunk_columns,
     _resolve_initial_state,
@@ -54,6 +54,7 @@ from ethsim.estimators import (
 from ethsim.phase_estimation import (
     WeightedJointState,
     apply_upsilon,
+    eigen_weights,
     joint_observable_matrix,
     qpe_disentangle,
     qpe_entangle,
@@ -415,12 +416,52 @@ class TestSingularRegisterBins:
         np.testing.assert_array_equal(table, [0.0, 0.0, 4.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
 
+class TestOneSingularityWindow:
+    """The per-eigenvalue weights behind the verdict's targets see the bin
+    table's singularity window. Eigenvalues 0, 0.25, 0.5 and 0.75 bin at
+    k = 0..3; bin 0 decodes to -3e-10, inside the default eta of both the
+    register span (1.75e-8) and the spectral range (7.5e-9), where the
+    regularized 1/E is -9.79e5 and -5.33e6 respectively."""
+
+    TERMS = [[0.375, "II"], [0.25, "ZI"], [0.125, "IZ"]]
+    QPE = QpeConfig(m=3, shift=-3e-10, scale=0.5)
+    W = WeightSpec(kind="inverse", policy="regularize")
+    # K dt spans ten periods of every gap (multiples of 0.25), so the series mean is the diagonal ensemble
+    ETH = EthConfig(dt=math.pi / 32, num_steps=2560, initial_state=InitialState(kind="haar", seed=3))
+
+    def test_eigen_weights_are_the_bin_table_entries(self):
+        spec = eigendecompose(from_pauli_terms(2, [PauliTerm(c, s) for c, s in self.TERMS]))
+        amps = register_amplitudes(spec, self.QPE)
+        table = reached_weight_table(amps, self.QPE, self.W)
+        np.testing.assert_array_equal(eigen_weights(spec, self.QPE, amps, self.W), table[register_indices(spec, self.QPE)])
+
+    def test_diagonal_target_is_the_plateau_of_the_series(self):
+        a = from_pauli_terms(2, [PauliTerm(c, s) for c, s in self.TERMS])
+        verdict = run_operator_form(a, all_ones_delta(2), self.W, self.ETH, self.QPE).thermalized
+        assert verdict.plateau == pytest.approx(-131066.28, rel=1e-7)
+        assert verdict.diagonal_target == pytest.approx(verdict.plateau, rel=1e-12)
+        assert verdict.verdict == "DIAGONAL-ENSEMBLE-ONLY"
+
+    def test_time_average_oracle_is_the_estimate(self, tmp_path):
+        config = from_dict({
+            "name": "window", "target": "time-average", "seed": 3,
+            "problem": {"kind": "pauli-terms", "terms": self.TERMS},
+            "delta": {"kind": "all-ones"},
+            "weight": {"kind": "inverse", "policy": "regularize"},
+            "qpe": {"m": 3, "shift": -3e-10, "scale": 0.5},
+            "eth": {"dt": math.pi / 32, "num_steps": 2560, "initial_state": {"kind": "haar", "seed": 3}},
+            "outputs": {"out_dir": str(tmp_path)},
+        })
+        summary = execute_experiment(config).summary
+        assert summary["oracle_value"] == pytest.approx(summary["estimate"], rel=1e-12)
+
+
 class TestChunkBudget:
     def test_block_bytes_stay_within_the_budget(self):
-        assert _chunk_columns(2) == _CHUNK
-        assert _chunk_columns(1024) == 128
-        assert 16 * 1024 * _chunk_columns(1024) == _CHUNK_BYTES == 2 * 2**20
-        assert _chunk_columns(2**MAX_QUBITS) == 8
+        assert _chunk_columns(2) == 32768
+        assert _chunk_columns(1024) == 64
+        assert 16 * 1024 * _chunk_columns(1024) == _CHUNK_BYTES == 2**20
+        assert _chunk_columns(2**MAX_QUBITS) == 4
         for n in range(1, MAX_QUBITS + 1):
             assert 16 * 2**n * _chunk_columns(2**n) <= _CHUNK_BYTES
 
@@ -706,9 +747,8 @@ class TestBlockBatchedShots:
     @pytest.mark.parametrize("form", ["operator", "vector"])
     def test_series_is_bit_identical_across_block_widths(self, monkeypatch, form, mode):
         whole = self.run(form, mode)
-        # five steps per block of evolved coefficients: the operator form's shot
-        # sub-blocks (24 steps of the rank-one projector) are cut to five
-        monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 8 * 8 * 3)
+        # five steps per block of evolved coefficients, and per shot sub-block of
+        # the rank-one projector (r x max(N, 2^m) = 8 complex per step)
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * 5)
         np.testing.assert_array_equal(self.run(form, mode).series, whole.series)
 
@@ -871,9 +911,9 @@ class TestSpanShotOutcomes:
         qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
         eth = EthConfig(dt=0.37, num_steps=40, sampling="shots", shots=16, seed=5, initial_state=init)
         widths = self.record_widths(monkeypatch)
-        monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 5 * 8 * 3)
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 5 * 8 * 3)
         # r x max(N, 2^m) complex per step: three steps of the rank-5 mask, fifteen of |phi><phi|,
-        # cut from one 40-step block of evolved coefficients
+        # cut from blocks of fifteen steps of evolved coefficients (N = 8)
         for name, expected in (("mask", [3] * 13 + [1]), ("projector", [15, 15, 10])):
             widths.clear()
             run_operator_form(a, _span_observables(phi)[name][0], WeightSpec(kind="inverse"), eth, qpe)
@@ -884,15 +924,15 @@ class TestSpanShotOutcomes:
         a, phi, init = _merged_problem(3, 3, seed=17)
         qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode=mode)
         eth = EthConfig(dt=0.37, num_steps=40, sampling="shots", shots=48, seed=13, initial_state=init, repetitions=2)
-        delta = projector_from_state(phi)
+        delta = derivative_mask(3, MASK_RANK5)
         whole = run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series
         widths = self.record_widths(monkeypatch)
-        # five-step blocks of evolved coefficients drawn three steps at a time: a
-        # sub-block of three would straddle each block end, so it is cut to two
-        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * 5)
-        monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * 8 * 3)
+        # 16-step blocks of evolved coefficients (N = 8) drawn three steps at a time
+        # (rank-5 mask, 40 complex per step): a sub-block of three would straddle
+        # each block end, so it is cut to one, or to two in a run's last 8-step block
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * 16)
         np.testing.assert_array_equal(run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series, whole)
-        assert widths == [3, 2] * 16
+        assert widths == ([3] * 5 + [1] + [3] * 5 + [1] + [3, 3, 2]) * 2
 
     @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])
     @pytest.mark.parametrize("name", ["projector", "mask"])
@@ -903,7 +943,8 @@ class TestSpanShotOutcomes:
         delta, rank = _span_observables(phi)[name]
         whole = run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series
         for steps in (1, 3):
-            monkeypatch.setattr(estimators, "_SHOT_BYTES", 16 * rank * 8 * steps)
+            # blocks of rank * steps steps of evolved coefficients, drawn steps at a time
+            monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * rank * 8 * steps)
             np.testing.assert_array_equal(run_operator_form(a, delta, WeightSpec(kind="inverse"), eth, qpe).series, whole)
 
     @pytest.mark.parametrize("mode", ["exact-binning", "circuit"])

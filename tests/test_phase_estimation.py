@@ -35,7 +35,7 @@ from ethsim.core import all_ones_delta, identity_operator
 from ethsim.phase_estimation import (
     OCCUPANCY_EPS,
     _hadamard_matrix,
-    decoded_energies,
+    eigen_weights,
     energy_of_index,
     entangle_matrix,
     joint_observable_matrix,
@@ -435,11 +435,11 @@ class TestDecodedEnergies:
 
     def test_exact_binning_reads_the_decoded_bin_energy(self):
         qpe = QpeConfig(m=3, shift=0.5, scale=0.25)
-        got = decoded_energies(self.SPEC, qpe, register_amplitudes(self.SPEC, qpe))
+        got = eigen_weights(self.SPEC, qpe, register_amplitudes(self.SPEC, qpe), WeightSpec(kind="identity_of_e"))
         np.testing.assert_array_equal(got, energy_table(qpe)[register_indices(self.SPEC, qpe)])
         assert not np.array_equal(got, self.SPEC.eigenvalues)
 
     def test_circuit_mode_reads_the_eigenvalues(self):
         qpe = QpeConfig(m=3, shift=0.5, scale=0.25, mode="circuit")
-        got = decoded_energies(self.SPEC, qpe, register_amplitudes(self.SPEC, qpe))
+        got = eigen_weights(self.SPEC, qpe, register_amplitudes(self.SPEC, qpe), WeightSpec(kind="identity_of_e"))
         np.testing.assert_array_equal(got, self.SPEC.eigenvalues)

@@ -48,22 +48,34 @@ def test_register_transform_keeps_the_signature_the_benchmark_calls(mode):
     np.testing.assert_array_equal(program, register_amplitudes(spec, qpe))
 
 
+# every run of the dense and circuit workloads, by name, shrunk to 256 steps at two sizes
+GATED_RUNS = [
+    ("dense", n_qubits, name)
+    for n_qubits in (3, 4)
+    for name in ("dense-inverse-operator", "dense-logdet-operator", "dense-inverse-vector")
+] + [
+    ("circuit", n_qubits, name)
+    for n_qubits in (2, 3)
+    for name in ("circuit-operator-exact", "circuit-operator-shots", "circuit-vector-exact", "circuit-vector-swap-shots")
+]
+
+
 @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
-@pytest.mark.parametrize("n_qubits", [2, 3])
-def test_shot_runs_pass_the_benchmark_correctness_gate(monkeypatch, tmp_path, n_qubits):
-    """The circuit workload's two shot runs, shrunk, checked against the closed-form references."""
+@pytest.mark.parametrize("workload,n_qubits,name", GATED_RUNS)
+def test_generated_runs_pass_the_benchmark_correctness_gate(monkeypatch, tmp_path, workload, n_qubits, name):
+    """Each run of a shrunken dense or circuit workload, checked against the closed-form references."""
     workloads, reference = _load("workloads", monkeypatch), _load("reference", monkeypatch)
-    monkeypatch.setattr(workloads, "CIRCUIT_QUBITS", n_qubits)
-    monkeypatch.setattr(workloads, "CIRCUIT_STEPS", 256)
-    spec = workloads.build("circuit", seed=1)
+    monkeypatch.setattr(workloads, f"{workload.upper()}_QUBITS", n_qubits)
+    monkeypatch.setattr(workloads, f"{workload.upper()}_STEPS", 256)
+    spec = workloads.build(workload, seed=1)
+    assert name in {run.name for run in spec.runs}
     workloads.write_inputs(spec, tmp_path)
     problem = spec.problem
-    for name in ("circuit-operator-shots", "circuit-vector-swap-shots"):
-        config = load_config(tmp_path / f"{name}.json").with_outputs(out_dir=str(tmp_path))
-        execute_experiment(config)
-        summary = reference.load_summary(tmp_path, name)
-        ref = reference.reference(summary["config"], problem.matrix, (problem.eigenvalues, problem.eigenvectors))
-        assert reference.check(summary, ref, tmp_path) == []
+    config = load_config(tmp_path / f"{name}.json").with_outputs(out_dir=str(tmp_path))
+    execute_experiment(config)
+    summary = reference.load_summary(tmp_path, name)
+    ref = reference.reference(summary["config"], problem.matrix, (problem.eigenvalues, problem.eigenvectors))
+    assert reference.check(summary, ref, tmp_path) == []
 
 
 def test_every_public_name_resolves():
@@ -96,7 +108,6 @@ def test_readme_block_budgets_equal_the_module_constants():
     readme = (ROOT / "README.md").read_text()
     constants = {
         "_CHUNK_BYTES": ethsim.estimators._CHUNK_BYTES,
-        "_SHOT_BYTES": ethsim.estimators._SHOT_BYTES,
         "_ROW_BYTES": ethsim.core._ROW_BYTES,
         "_SPAN_BYTES": ethsim.fileio._SPAN_BYTES,
         "_PARSE_BYTES": ethsim.fileio._PARSE_BYTES,
@@ -109,7 +120,6 @@ def test_readme_block_budgets_equal_the_module_constants():
         assert int(value) * units[unit] == constants[name], name
     prose = {
         "_CHUNK_BYTES": r"at most (\d+) MiB of evolved coefficients",
-        "_SHOT_BYTES": r"per step, to at most (\d+) MiB",
     }
     for name, pattern in prose.items():
         values = re.findall(pattern, " ".join(readme.split()))
