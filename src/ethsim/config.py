@@ -143,6 +143,9 @@ class ExperimentConfig:
                 _fail("phi", f"target {self.target!r} with form {self.form!r} requires phi")
             # the run measures phi: the default stands in for a delta block, and to_dict omits it
             object.__setattr__(self, "delta", DeltaSpec("identity"))
+        if self.eth.sampling == "exact":
+            # an exact run draws no shots, so the config and every echo give 0 for eth.shots
+            object.__setattr__(self, "eth", replace(self.eth, shots=0))
         if self.eth.seed != self.seed:
             _fail("eth.seed", "must equal the top-level seed (set only the top-level one)")
 

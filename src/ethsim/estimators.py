@@ -22,14 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .core import DenseOperator, StateVector, projector_from_state, random_state, uniform_superposition
-from .errors import ConfigError, DomainError
-from .phase_estimation import (
-    QpeConfig,
-    eigen_weights,
-    reached_weight_table,
-    register_amplitudes,
-    register_weights,
-)
+from .errors import ConfigError, DomainError, SingularityError
+from .phase_estimation import QpeConfig, eigen_weights, half_power_table, reached_weight_table, register_amplitudes
 from .rng import derive_seed, substream
 from .spectral import Spectrum, eigenbasis_block, eigenbasis_diagonal, eigenbasis_ensemble, eigenbasis_factors, factored_commutator_norm, logdet_gradient_oracle, spectral_commutator_norm, spectrum_of, trace_weighted
 from .weights import INVERSE, WeightSpec
@@ -453,9 +447,6 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     left, right = eigenbasis_factors(spec, delta)
     amps = register_amplitudes(spec, qpe)
     table = reached_weight_table(amps, qpe, w)
-    if np.any(np.imag(table) != 0):
-        raise ConfigError("operator form requires real weights on every register bin it reaches")
-    table = table.real
     if eth.sampling == "shots":
         values, probabilities = _shot_outcomes(spec, delta, table, amps)
     else:
@@ -485,26 +476,33 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
 
     The evolved state is entangled with the register, carries the square
     root of the weight w (1/E unless given), is disentangled, and its overlap
-    with phi is squared: the per-step sample norm_factor^2 |<phi|psi_w(t)>|^2
-    time-averages to sum_p |c_p|^2 |<phi|p>|^2 w(E_p). Shots mode reads the
-    overlap from a simulated swap test instead of exact arithmetic.
+    with phi is squared. Every register bin any eigenvector reaches carries
+    sqrt(w), so a negative weight there raises SingularityError whatever the
+    policy. In exact binning the per-step sample norm_factor^2
+    |<phi|psi_w(t)>|^2 time-averages to sum_p |c_p|^2 |<phi|p>|^2 w(E_p);
+    circuit-mode leakage makes the weight on p a mix of several bins'.
+    Shots mode reads the overlap from a simulated swap test instead of exact
+    arithmetic.
     """
     spec = spectrum_of(a)
     if phi.dim != spec.dim:
         raise DomainError(f"phi dimension {phi.dim} does not match {spec.dim}")
     amps = register_amplitudes(spec, qpe)
     prob = np.abs(amps) ** 2
+    root = half_power_table(reached_weight_table(amps, qpe, w), qpe)
+    # After entangling, weighting the bins by sqrt(w) and disentangling, the
+    # |0> register slice is V (gamma * c(t)) / norm_factor with gamma_p =
+    # sum_k |a_p[k]|^2 sqrt(w_k), the same for every state and step.
+    gamma = prob @ root
     b = spec.coefficients(phi.amplitudes)
+    u = b.conj() * gamma
     # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag: P = Q = b
     eff = (b[:, None], b[:, None], eigen_weights(spec, qpe, amps, w))
 
     def draw(rep, coeffs):
-        # Bin occupancies do not depend on t. After entangling, weighting the
-        # occupied bins by sqrt(w) and disentangling, the |0> register slice
-        # is V (gamma * c(t)) / norm_factor with gamma_p = sum_k |a_p[k]|^2 s_k.
-        s, norm_factor = register_weights(np.abs(coeffs) ** 2 @ prob, qpe, w, power="half")
-        gamma = prob @ s
-        u = b.conj() * gamma
+        norm_factor = float(np.sqrt((np.abs(coeffs) ** 2 @ prob) @ root**2))
+        if norm_factor <= 1e-14:
+            raise SingularityError("weighting annihilated every occupied register slice")
         samples = np.concatenate(list(map(lambda c: np.abs(u @ c) ** 2, _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps))))
         kept = float(np.sum(np.abs(gamma * coeffs) ** 2))  # (norm_factor * slice norm)^2
         if eth.sampling == "shots":

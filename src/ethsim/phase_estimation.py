@@ -7,7 +7,7 @@ eigenvalues. Dyadic spectra make the binning exact; the circuit mode also
 reproduces the finite-register leakage of real phase estimation.
 
 This module alone knows the register mode. The estimators work from
-register_amplitudes, reached_weight_table, register_weights and
+register_amplitudes, reached_weight_table, half_power_table and
 eigen_weights; the per-state pipeline and the dense joint-space matrices
 compute the same quantities step by step and are kept as the tests'
 references.
@@ -220,53 +220,26 @@ def qpe_entangle(spec: Spectrum, state: StateVector, config: QpeConfig) -> State
     return StateVector(state.n_qubits + config.m, out)
 
 
-def register_weights(occupancy: np.ndarray, config: QpeConfig, w: WeightSpec, power: str = "one"):
-    """Per-bin multipliers w(decoded energy)**power and the norm they leave.
-
-    occupancy[k] is the probability a state holds in register bin k. Bins
-    holding less than OCCUPANCY_EPS are numerically empty and get multiplier
-    zero, so under power "one" the multipliers are reached_weight_table's.
-    Under power "half" a negative weight on an occupied bin raises
-    SingularityError unless the policy is "regularize", which takes the
-    complex square root. Returns (multipliers, norm_factor), the norm factor
-    being the norm of the weighted state.
-    """
-    if power not in ("one", "half"):
-        raise ConfigError(f"power must be 'one' or 'half', got {power!r}")
-    occupied = occupancy > OCCUPANCY_EPS
-    if not np.any(occupied):
-        raise DomainError("joint state has no occupied register slice")
-
-    full = _bin_weights(occupied, config, w)
-    if power == "half":
-        if not np.iscomplexobj(full) and np.any(full < 0):
-            if w.policy == "reject":
-                bad = energy_table(config)[full < 0][0]
-                raise SingularityError(
-                    f"negative weight at decoded energy {bad} under half power; "
-                    "regularize to allow complex weights"
-                )
-            full = full.astype(complex)
-        full = np.sqrt(full)
-    norm_factor = float(np.sqrt(occupancy @ np.abs(full) ** 2))
-    if norm_factor <= 1e-14:
-        raise SingularityError("weighting annihilated every occupied register slice")
-    return full, norm_factor
-
-
 def apply_upsilon(joint: StateVector, config: QpeConfig, w: WeightSpec, power: str = "one") -> WeightedJointState:
     """Multiply every occupied register slice by w(decoded energy)**power.
 
     The weight sees the decoded bin energy, not the true eigenvalue; on
     dyadic spectra the two coincide. power "half" is the square-root weight
     used when the weighted state itself is the object of interest. Slices
-    holding less than OCCUPANCY_EPS probability are dropped as numerically
-    empty (see register_weights). The result is renormalized, with the lost
-    norm recorded.
+    holding less than OCCUPANCY_EPS probability are numerically empty and
+    weigh zero. The result is renormalized, with the lost norm recorded.
     """
+    if power not in ("one", "half"):
+        raise ConfigError(f"power must be 'one' or 'half', got {power!r}")
     n_dim, m_dim = _split_dims(joint.dim, config)
     rows = joint.amplitudes.reshape(n_dim, m_dim)
-    full, norm_factor = register_weights(np.sum(np.abs(rows) ** 2, axis=0), config, w, power)
+    occupancy = np.sum(np.abs(rows) ** 2, axis=0)
+    full = _bin_weights(occupancy > OCCUPANCY_EPS, config, w)
+    if power == "half":
+        full = half_power_table(full, config)
+    norm_factor = float(np.sqrt(occupancy @ full**2))
+    if norm_factor <= 1e-14:
+        raise SingularityError("weighting annihilated every occupied register slice")
     out = StateVector(joint.n_qubits, (rows * full[None, :] / norm_factor).reshape(-1))
     return WeightedJointState(out, norm_factor)
 
@@ -312,7 +285,7 @@ def reweighted_delta(delta: DenseOperator, spec: Spectrum, w: WeightSpec, energi
     v = spec.eigenvectors
     np.fill_diagonal(delta_eig, np.diag(delta_eig) * values)
     mat = v @ delta_eig @ v.conj().T
-    return DenseOperator(spec.dim, mat if np.iscomplexobj(values) else 0.5 * (mat + mat.conj().T))
+    return DenseOperator(spec.dim, 0.5 * (mat + mat.conj().T))
 
 
 def entangle_matrix(spec: Spectrum, config: QpeConfig) -> np.ndarray:
@@ -353,7 +326,8 @@ def reached_weight_table(amps: np.ndarray, config: QpeConfig, w: WeightSpec) -> 
     """Weights of the register bins the amplitudes a[p, k] reach.
 
     A bin counts as reached when sum_p |a_p[k]|^2 exceeds OCCUPANCY_EPS, the
-    threshold register_weights uses. Reached bins must evaluate cleanly, so
+    threshold apply_upsilon applies to a state's occupancy. Both estimator
+    forms weight by this table, whatever their state. Reached bins must evaluate cleanly, so
     a singular weight there raises; every other bin holds zero, since no
     amplitude lands on it.
     """
@@ -362,10 +336,19 @@ def reached_weight_table(amps: np.ndarray, config: QpeConfig, w: WeightSpec) -> 
 
 def _bin_weights(reached: np.ndarray, config: QpeConfig, w: WeightSpec) -> np.ndarray:
     """w at the decoded energies of the reached bins, zero on every other bin."""
-    values = w.evaluate(energy_table(config)[reached], config.representable_span)
-    table = np.zeros(config.register_size, dtype=np.result_type(values, float))
-    table[reached] = values
+    table = np.zeros(config.register_size)
+    table[reached] = w.evaluate(energy_table(config)[reached], config.representable_span)
     return table
+
+
+def half_power_table(table: np.ndarray, config: QpeConfig) -> np.ndarray:
+    """sqrt of a bin weight table, the weight a state carries when its
+    overlaps are squared; a negative weight has no real root, so it raises
+    whatever the policy."""
+    negative = table < 0
+    if np.any(negative):
+        raise SingularityError(f"negative weight at decoded energy {energy_table(config)[negative][0]} under half power")
+    return np.sqrt(table)
 
 
 def eigen_weights(spec: Spectrum, config: QpeConfig, amps: np.ndarray, w: WeightSpec) -> np.ndarray:
@@ -389,9 +372,7 @@ def joint_observable_matrix(delta: DenseOperator, spec: Spectrum, config: QpeCon
     table = upsilon_table(spec, config, w)
     joint = np.kron(delta.matrix(), np.diag(table))
     obs = e.conj().T @ joint @ e
-    if not np.iscomplexobj(table):
-        obs = 0.5 * (obs + obs.conj().T)
-    return obs
+    return 0.5 * (obs + obs.conj().T)
 
 
 def qpe_sandwich_matrix(delta: DenseOperator, spec: Spectrum, config: QpeConfig, w: WeightSpec) -> np.ndarray:

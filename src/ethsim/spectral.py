@@ -159,7 +159,7 @@ def matrix_function(spec: Spectrum, f: WeightSpec) -> DenseOperator:
     values = f.evaluate(spec.eigenvalues, spec.spectral_range)
     v = spec.eigenvectors
     mat = (v * values) @ v.conj().T
-    return DenseOperator(spec.dim, mat if np.iscomplexobj(values) else 0.5 * (mat + mat.conj().T))
+    return DenseOperator(spec.dim, 0.5 * (mat + mat.conj().T))
 
 
 def trace_weighted(spec: Spectrum, delta: DenseOperator, f: WeightSpec) -> float:

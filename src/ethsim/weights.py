@@ -53,10 +53,10 @@ class WeightSpec:
             raise ConfigError(f"eta must be a positive finite number, got {self.eta!r}")
 
     def evaluate(self, energies, spectral_range: float) -> np.ndarray:
-        """Weights f(E) for an energy array under this spec's policy.
+        """Real weights f(E) for an energy array under this spec's policy.
 
-        Returns a real array except for regularized inverse_sqrt on negative
-        energies, where complex values are the honest answer.
+        1/sqrt(E) at E < 0 and a custom fn with complex values raise
+        SingularityError under either policy: no weight is complex.
         """
         e = np.asarray(energies, dtype=float)
         window = singularity_window(spectral_range, self.eta)
@@ -67,11 +67,18 @@ class WeightSpec:
             return e.copy()
         if self.kind == "custom":
             values = np.asarray(self.fn(e))
+            if np.iscomplexobj(values):
+                raise SingularityError("custom weight returned complex values; weights must be real")
             if not np.all(np.isfinite(values)):
                 bad = e[~np.isfinite(values)][0]
                 raise SingularityError(f"custom weight is not finite at E = {bad}")
             return values
 
+        # checked first, so the reject message below never points to a policy that raises too
+        if self.kind == "inverse_sqrt" and np.any(e < 0):
+            raise SingularityError(
+                f"inverse_sqrt weight is complex at negative eigenvalue E = {e[e < 0][0]}; weights are real under either policy"
+            )
         if self.policy == "reject":
             near_zero = np.abs(e) <= window
             if np.any(near_zero):
@@ -83,12 +90,6 @@ class WeightSpec:
             if self.kind == "inverse":
                 return 1.0 / e
             if self.kind == "inverse_sqrt":
-                if np.any(e < 0):
-                    bad = e[e < 0][0]
-                    raise SingularityError(
-                        f"inverse_sqrt weight is complex at negative eigenvalue E = {bad}; "
-                        "use the regularize policy to allow complex weights"
-                    )
                 return 1.0 / np.sqrt(e)
             # log_of_e: log |E|, the determinant's sign is not tracked here
             return np.log(np.abs(e))
@@ -97,9 +98,7 @@ class WeightSpec:
         if self.kind == "log_of_e":
             return np.log(np.maximum(np.abs(e), eta))
         inverse = e / (e**2 + eta**2)
-        if self.kind == "inverse":
-            return inverse
-        return np.sqrt(inverse.astype(complex)) if np.any(inverse < 0) else np.sqrt(inverse)
+        return inverse if self.kind == "inverse" else np.sqrt(inverse)
 
 
 # the fixed 1/E weight of the inverse-expectation and log-det targets and their oracles

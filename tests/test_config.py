@@ -132,6 +132,8 @@ class TestFromDict:
     @pytest.mark.parametrize("block,key", [("qpe", "m"), ("eth", "num_steps"), ("eth", "shots"), ("", "seed")])
     def test_integer_fields_accept_integral_numbers_only(self, tmp_path, capsys, block, key):
         data = self.base()
+        if key == "shots":
+            data["eth"]["sampling"] = "shots"  # an exact run echoes eth.shots as 0
         node = data[block] if block else data
         node[key] = 4.0
         echo = from_dict(data).to_dict()
@@ -147,6 +149,14 @@ class TestFromDict:
         path.write_text(json.dumps(data))
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert f"'{dotted}': expected an integer, got 4.9" in capsys.readouterr().err
+
+    def test_an_exact_run_echoes_no_shot_budget(self):
+        data = self.base()
+        data["eth"].update(sampling="exact", shots=64)
+        config = from_dict(data)
+        assert config.eth.shots == 0 and config.to_dict()["eth"]["shots"] == 0
+        data["eth"]["sampling"] = "shots"
+        assert from_dict(data).to_dict()["eth"]["shots"] == 64
 
     def test_mask_indices_accept_integral_numbers_only(self):
         data = json.loads(json.dumps(build_preset("logdet-2q").to_dict()))

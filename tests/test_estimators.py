@@ -387,7 +387,7 @@ class TestRealWeights:
         return run_operator_form(self.A, identity_operator(1), w, eth, QpeConfig(mode=mode, **self.QPE))
 
     def test_circuit_mode_rejects_complex_weights_its_leakage_reaches(self):
-        with pytest.raises(ConfigError, match="real weights"):
+        with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -1.0"):
             self.run("circuit")
 
     def test_exact_binning_ignores_complex_weights_on_unreached_bins(self):
@@ -442,6 +442,12 @@ class TestOneSingularityWindow:
         assert verdict.diagonal_target == pytest.approx(verdict.plateau, rel=1e-12)
         assert verdict.verdict == "DIAGONAL-ENSEMBLE-ONLY"
 
+    def test_vector_form_rejects_the_negative_bin_weight(self):
+        # sqrt of the regularized 1/E at bin 0 (-9.79e5) has no real value
+        a = from_pauli_terms(2, [PauliTerm(c, s) for c, s in self.TERMS])
+        with pytest.raises(SingularityError, match=r"negative weight at decoded energy -3e-10 under half power"):
+            run_vector_form(a, uniform_superposition(2), self.ETH, self.QPE, self.W)
+
     def test_time_average_oracle_is_the_estimate(self, tmp_path):
         config = from_dict({
             "name": "window", "target": "time-average", "seed": 3,
@@ -454,6 +460,22 @@ class TestOneSingularityWindow:
         })
         summary = execute_experiment(config).summary
         assert summary["oracle_value"] == pytest.approx(summary["estimate"], rel=1e-12)
+
+
+class TestVectorFormBinTable:
+    """The vector form weighs the bins any eigenvector reaches, so whether a
+    run is accepted depends on the register, not on the initial state's zeros."""
+
+    # eigenvalues -0.5 and 0.5 bin at k = 1 and 3, decoded energies -0.5 and 0.5
+    A = operator_from_matrix(np.diag([-0.5, 0.5]).astype(complex))
+    QPE = QpeConfig(m=2, shift=-1.0, scale=0.5)
+
+    @pytest.mark.parametrize("amplitudes", [(0.0, 1.0), (0.6, 0.8)])
+    def test_a_negative_weight_on_any_reached_bin_raises(self, amplitudes):
+        eth = EthConfig(dt=0.3, num_steps=16, initial_state=InitialState(kind="explicit", amplitudes=amplitudes))
+        with pytest.raises(SingularityError) as err:
+            run_vector_form(self.A, uniform_superposition(1), eth, self.QPE, WeightSpec(kind="identity_of_e"))
+        assert str(err.value) == "negative weight at decoded energy -0.5 under half power"
 
 
 class TestChunkBudget:

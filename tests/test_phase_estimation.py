@@ -38,11 +38,11 @@ from ethsim.phase_estimation import (
     eigen_weights,
     energy_of_index,
     entangle_matrix,
+    half_power_table,
     joint_observable_matrix,
     qpe_sandwich_matrix,
     reached_weight_table,
     register_amplitudes,
-    register_weights,
     upsilon_table,
 )
 from ethsim.weights import WEIGHT_KINDS
@@ -207,13 +207,12 @@ class TestUpsilon:
         with pytest.raises(SingularityError):
             apply_upsilon(joint, config, WeightSpec(kind="identity_of_e"), power="half")
 
-    def test_half_power_regularized_goes_complex(self):
+    def test_half_power_regularized_lets_no_negative_weight_through(self):
         config = QpeConfig(m=2, shift=-2.0, scale=0.2)
         joint = qpe_entangle(SIGMA_Z, uniform_superposition(1), config)
         w = WeightSpec(kind="identity_of_e", policy="regularize", eta=1e-9)
-        weighted = apply_upsilon(joint, config, w, power="half")
-        assert np.iscomplexobj(weighted.joint.amplitudes)
-        assert weighted.norm_factor > 0
+        with pytest.raises(SingularityError, match="negative weight at decoded energy -0.75 under half power"):
+            apply_upsilon(joint, config, w, power="half")
 
     def test_norm_factor_bookkeeping(self):
         # decoded energies -1 and +1 take weights 1 and 1/3 on equal slices
@@ -354,7 +353,8 @@ def _straddling_amplitudes():
 
 
 class TestSharedBinWeightTable:
-    """register_weights at power "one" is reached_weight_table, bit for bit."""
+    """reached_weight_table weighs the bins above OCCUPANCY_EPS, half_power_table
+    roots it, and apply_upsilon weighs a state's occupancy by the same threshold."""
 
     AMPS = _straddling_amplitudes()
     OCC = np.sum(np.abs(AMPS) ** 2, axis=0)
@@ -365,8 +365,8 @@ class TestSharedBinWeightTable:
         for kind in WEIGHT_KINDS
         for policy in ("reject", "regularize")
         for config in ("POSITIVE", "STRADDLING")
-        # the one combination whose reached bins do not evaluate: 1/sqrt(E) at E < 0
-        if (kind, policy, config) != ("inverse_sqrt", "reject", "STRADDLING")
+        # the one kind whose reached bins do not evaluate: 1/sqrt(E) at E < 0
+        if (kind, config) != ("inverse_sqrt", "STRADDLING")
     ]
 
     @staticmethod
@@ -382,50 +382,47 @@ class TestSharedBinWeightTable:
         assert occ[4] < OCCUPANCY_EPS
 
     @pytest.mark.parametrize("kind,policy,config", CASES)
-    def test_power_one_is_the_reached_table(self, kind, policy, config):
+    def test_the_reached_table_weighs_the_bins_above_the_threshold(self, kind, policy, config):
         qpe, w = getattr(self, config), self.weight(kind, policy)
         table = reached_weight_table(self.AMPS, qpe, w)
-        full, norm_factor = register_weights(self.OCC, qpe, w)
-        assert full.dtype == table.dtype
-        assert full.tobytes() == table.tobytes()
+        assert table.dtype == np.float64
         assert np.all(table[self.OCC <= OCCUPANCY_EPS] == 0.0)
         reached = self.OCC > OCCUPANCY_EPS
         np.testing.assert_array_equal(table[reached], w.evaluate(energy_table(qpe)[reached], qpe.representable_span))
-        assert norm_factor == np.sqrt(self.OCC @ np.abs(table) ** 2)
 
-    @pytest.mark.parametrize("kind,policy,config", [case for case in CASES if case[1] == "regularize"])
+    @pytest.mark.parametrize("kind,policy,config", CASES)
     def test_half_power_is_the_root_of_the_reached_table(self, kind, policy, config):
         qpe, w = getattr(self, config), self.weight(kind, policy)
         table = reached_weight_table(self.AMPS, qpe, w)
-        if not np.iscomplexobj(table) and np.any(table < 0):
-            table = table.astype(complex)
-        full, _ = register_weights(self.OCC, qpe, w, power="half")
-        assert full.tobytes() == np.sqrt(table).tobytes()
+        if np.any(table < 0):
+            with pytest.raises(SingularityError, match="negative weight at decoded energy"):
+                half_power_table(table, qpe)
+        else:
+            assert half_power_table(table, qpe).tobytes() == np.sqrt(table).tobytes()
 
-    def test_the_unevaluable_combination_raises_in_both(self):
-        w = self.weight("inverse_sqrt", "reject")
-        with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -0.375"):
-            reached_weight_table(self.AMPS, self.STRADDLING, w)
-        with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -0.375"):
-            register_weights(self.OCC, self.STRADDLING, w)
+    def test_apply_upsilon_weighs_the_occupied_bins_by_the_reached_table(self):
+        w = WeightSpec(kind="inverse")
+        weighted = apply_upsilon(StateVector(4, self.AMPS.reshape(-1)), self.POSITIVE, w)
+        rows = weighted.joint.amplitudes.reshape(2, 8) * weighted.norm_factor
+        np.testing.assert_allclose(rows, self.AMPS * reached_weight_table(self.AMPS, self.POSITIVE, w), rtol=1e-14, atol=0)
 
-    def test_half_power_negative_weight_message(self):
+    @pytest.mark.parametrize("policy", ["reject", "regularize"])
+    def test_inverse_sqrt_at_a_negative_energy_raises_under_either_policy(self, policy):
+        with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -0.375"):
+            reached_weight_table(self.AMPS, self.STRADDLING, self.weight("inverse_sqrt", policy))
+
+    @pytest.mark.parametrize("policy", ["reject", "regularize"])
+    def test_half_power_negative_weight_message(self, policy):
+        table = reached_weight_table(self.AMPS, self.STRADDLING, WeightSpec(kind="identity_of_e", policy=policy))
         with pytest.raises(SingularityError) as err:
-            register_weights(self.OCC, self.STRADDLING, WeightSpec(kind="identity_of_e"), power="half")
-        assert str(err.value) == (
-            "negative weight at decoded energy -0.375 under half power; regularize to allow complex weights"
-        )
-
-    def test_no_occupied_slice_message(self):
-        with pytest.raises(DomainError) as err:
-            register_weights(np.where(self.OCC > OCCUPANCY_EPS, OCCUPANCY_EPS, self.OCC), self.POSITIVE, WeightSpec())
-        assert str(err.value) == "joint state has no occupied register slice"
+            half_power_table(table, self.STRADDLING)
+        assert str(err.value) == "negative weight at decoded energy -0.375 under half power"
 
     @pytest.mark.parametrize("power", ["one", "half"])
     def test_annihilated_slices_message(self, power):
         w = WeightSpec(kind="custom", fn=lambda e: 0.0 * e)
         with pytest.raises(SingularityError) as err:
-            register_weights(self.OCC, self.POSITIVE, w, power=power)
+            apply_upsilon(StateVector(4, self.AMPS.reshape(-1)), self.POSITIVE, w, power=power)
         assert str(err.value) == "weighting annihilated every occupied register slice"
         np.testing.assert_array_equal(reached_weight_table(self.AMPS, self.POSITIVE, w), 0.0)
 

@@ -23,6 +23,7 @@ from ethsim import (
     uniform_superposition,
 )
 from ethsim.core import all_ones_delta, basis_state, derivative_mask, identity_operator, projector_from_state
+from ethsim.weights import WEIGHT_KINDS
 from helpers import as_matrix
 
 DYADIC_2Q = from_pauli_terms(
@@ -189,11 +190,27 @@ class TestWeights:
 
     def test_negative_sqrt_policies(self):
         e = np.array([-1.0, 1.0])
-        with pytest.raises(SingularityError):
-            WeightSpec(kind="inverse_sqrt", policy="reject").evaluate(e, 2.0)
-        vals = WeightSpec(kind="inverse_sqrt", policy="regularize", eta=1e-6).evaluate(e, 2.0)
-        assert np.iscomplexobj(vals)
-        assert abs(vals[0]) == pytest.approx(1.0, rel=1e-5)
+        for policy in ("reject", "regularize"):
+            with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -1.0"):
+                WeightSpec(kind="inverse_sqrt", policy=policy, eta=1e-6).evaluate(e, 2.0)
+            # inside the reject window too: no policy lets a negative energy through
+            with pytest.raises(SingularityError, match="inverse_sqrt weight is complex at negative eigenvalue E = -1e-12"):
+                WeightSpec(kind="inverse_sqrt", policy=policy).evaluate(np.array([-1e-12, 1.0]), 2.0)
+
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    @pytest.mark.parametrize("policy", ["reject", "regularize"])
+    def test_no_weight_is_complex(self, kind, policy):
+        w = WeightSpec(kind=kind, policy=policy, fn=(lambda e: np.cos(3.0 * e)) if kind == "custom" else None)
+        try:
+            values = w.evaluate(np.array([-1.0, -1e-12, 0.0, 1e-12, 0.5]), 2.0)
+        except SingularityError:
+            return
+        assert values.dtype == np.float64
+
+    def test_complex_custom_weight_raises(self):
+        w = WeightSpec(kind="custom", fn=lambda e: np.exp(1j * e))
+        with pytest.raises(SingularityError, match="custom weight returned complex values"):
+            w.evaluate(np.array([0.5, 1.0]), 1.0)
 
     def test_log_floor(self):
         w = WeightSpec(kind="log_of_e", policy="regularize", eta=1e-4)
