@@ -20,14 +20,6 @@ HERMITIAN_TOL = 1e-12
 # byte budget of one row block of an N x N check (N complex per row)
 _ROW_BYTES = 1 << 18
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
 def _check_qubit_count(n_qubits: int) -> None:
     if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         raise DomainError(f"qubit count must be a positive integer, got {n_qubits!r}")
@@ -134,7 +126,8 @@ class DenseOperator:
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """One term ``coefficient * (sigma_a1 x sigma_a2 x ...)`` of a Hermitian sum."""
+    """One term ``coefficient * (sigma_a1 x sigma_a2 x ...)`` of a Hermitian sum,
+    at most MAX_QUBITS letters; the first letter acts on the most significant bit."""
 
     coefficient: float
     axes: str
@@ -142,15 +135,18 @@ class PauliTerm:
     def __post_init__(self):
         if not np.isfinite(self.coefficient):
             raise DomainError(f"pauli coefficient must be finite, got {self.coefficient!r}")
-        if not self.axes or any(ax not in PAULI_MATRICES for ax in self.axes):
+        if not self.axes or set(self.axes) - set("IXYZ"):
             raise DomainError(f"pauli axes must be drawn from I,X,Y,Z, got {self.axes!r}")
+        _check_qubit_count(len(self.axes))
 
-    def matrix(self) -> np.ndarray:
-        """Dense matrix of the bare Pauli string (coefficient excluded)."""
-        mat = PAULI_MATRICES[self.axes[0]]
-        for ax in self.axes[1:]:
-            mat = np.kron(mat, PAULI_MATRICES[ax])
-        return mat
+    def action(self) -> tuple[int, np.ndarray]:
+        """(flip, phase) of the bare string (coefficient excluded): it sends |j> to
+        phase[j] |j ^ flip>. X and Y flip their bit, Z and Y sign by it, and Y = iXZ."""
+        flip = int("".join("01"[ax in "XY"] for ax in self.axes), 2)
+        signed = int("".join("01"[ax in "YZ"] for ax in self.axes), 2)
+        unit = 1j ** self.axes.count("Y")
+        odd = np.bitwise_count(np.arange(1 << len(self.axes)) & signed) & 1
+        return flip, np.where(odd, -unit, unit)
 
 
 def operator_from_matrix(entries) -> DenseOperator:
@@ -207,22 +203,30 @@ def random_state(n_qubits: int, seed: int, ensemble: str = "haar") -> StateVecto
 def from_pauli_terms(n_qubits: int, terms) -> DenseOperator:
     """Dense Hermitian operator for a weighted Pauli-string sum.
 
-    Every term's axes string must have length ``n_qubits``. The sum of real
-    multiples of Pauli strings is exactly Hermitian, which its flag measures.
+    Every term's axes string must have length ``n_qubits``; each adds c * phase[j]
+    at (j ^ flip, j) of its action(), O(N). The sum of real multiples of Pauli
+    strings is exactly Hermitian, which its flag measures.
     """
     _check_qubit_count(n_qubits)
     terms = list(terms)
     if not terms:
         raise DomainError("pauli term list is empty")
+    check_term_lengths(terms, n_qubits)
     dim = 2**n_qubits
+    rows = np.arange(dim)
     total = np.zeros((dim, dim), dtype=complex)
     for term in terms:
-        if len(term.axes) != n_qubits:
-            raise DomainError(
-                f"term axes {term.axes!r} has length {len(term.axes)}, expected {n_qubits}"
-            )
-        total += term.coefficient * term.matrix()
+        flip, phase = term.action()
+        total[rows ^ flip, rows] += term.coefficient * phase
+    total.setflags(write=False)  # handed over, not copied
     return DenseOperator(dim, total)
+
+
+def check_term_lengths(terms, n_qubits: int) -> None:
+    """DomainError unless every term's axes string has n_qubits letters."""
+    for term in terms:
+        if len(term.axes) != n_qubits:
+            raise DomainError(f"term axes {term.axes!r} has length {len(term.axes)}, expected {n_qubits}")
 
 
 def projector_from_state(phi: StateVector) -> DenseOperator:

@@ -270,18 +270,18 @@ def system_slice(weighted: WeightedJointState, config: QpeConfig) -> np.ndarray:
     return weighted.joint.amplitudes.reshape(n_dim, m_dim)[:, 0].copy()
 
 
-def reweighted_delta(delta: DenseOperator, spec: Spectrum, w: WeightSpec, energies=None) -> DenseOperator:
+def reweighted_delta(delta: DenseOperator, spec: Spectrum, w: WeightSpec, energies=None, span=None) -> DenseOperator:
     """Observable with eigenbasis diagonal rescaled by the weight.
 
     In the eigenbasis of the input operator the result carries entries
-    Delta_pp * f(E_p) on the diagonal and Delta_pq unchanged off it. Passing
-    explicit energies (e.g. decoded register energies) reweights against
-    those instead of the true eigenvalues.
+    Delta_pp * f(E_p) on the diagonal and Delta_pq unchanged off it. Explicit
+    energies (e.g. decoded register energies) replace the eigenvalues, and a
+    span (e.g. representable_span) the spectral range that sets the window.
     """
     delta_eig = in_eigenbasis(spec, delta)
     if energies is None:
         energies = spec.eigenvalues
-    values = w.evaluate(np.asarray(energies, dtype=float), spec.spectral_range)
+    values = w.evaluate(np.asarray(energies, dtype=float), spec.spectral_range if span is None else span)
     v = spec.eigenvectors
     np.fill_diagonal(delta_eig, np.diag(delta_eig) * values)
     mat = v @ delta_eig @ v.conj().T

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from . import config
+from .core import PauliTerm
 from .errors import ConfigError
 from .rng import substream
 
@@ -154,11 +155,12 @@ def diagonal_pauli_terms(values: np.ndarray) -> tuple:
         raise ConfigError(f"diagonal length {dim} is not a power of two")
     terms = []
     for s in range(dim):
-        signs = np.array([(-1) ** bin(x & s).count("1") for x in range(dim)])
+        axes = "".join("Z" if (s >> (n - 1 - q)) & 1 else "I" for q in range(n))
+        # Walsh signs: the Z-string's phase, copied contiguous (a strided dot sums in another order)
+        signs = PauliTerm(1.0, axes).action()[1].real.copy()
         coef = float(values @ signs) / dim
         if abs(coef) < 1e-15:
             continue
-        axes = "".join("Z" if (s >> (n - 1 - q)) & 1 else "I" for q in range(n))
         terms.append((coef, axes))
     return tuple(terms)
 

@@ -32,7 +32,7 @@ from ethsim import (
 )
 from ethsim.core import HERMITIAN_TOL
 from ethsim.spectral import spectral_commutator_norm
-from helpers import as_matrix
+from helpers import action_matrix, as_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -174,9 +174,13 @@ class TestOperators:
         assert scans == []
 
     def test_pauli_term_matrix(self):
-        np.testing.assert_array_equal(PauliTerm(2.0, "X").matrix(), SX)
-        zz = PauliTerm(1.0, "ZZ").matrix()
-        np.testing.assert_array_equal(np.diag(zz), [1, -1, -1, 1])
+        # the bare string, coefficient excluded; Y = iXZ
+        np.testing.assert_array_equal(action_matrix(PauliTerm(2.0, "X")), SX)
+        np.testing.assert_array_equal(action_matrix(PauliTerm(1.0, "Y")), SY)
+        zz = action_matrix(PauliTerm(1.0, "ZZ"))
+        np.testing.assert_array_equal(zz, np.diag([1, -1, -1, 1]))
+        # the first letter acts on the most significant bit: ZI is Z x I
+        np.testing.assert_array_equal(np.diag(action_matrix(PauliTerm(1.0, "ZI"))), [1, 1, -1, -1])
 
     def test_from_pauli_terms_frozen_example(self):
         # ZI + 0.5 IX, written out by hand

@@ -55,6 +55,7 @@ from ethsim.phase_estimation import (
     WeightedJointState,
     apply_upsilon,
     eigen_weights,
+    energy_table,
     joint_observable_matrix,
     qpe_disentangle,
     qpe_entangle,
@@ -63,6 +64,7 @@ from ethsim.phase_estimation import (
     register_amplitudes,
     register_indices,
     register_residual,
+    reweighted_delta,
     system_slice,
     upsilon_table,
 )
@@ -434,6 +436,20 @@ class TestOneSingularityWindow:
         amps = register_amplitudes(spec, self.QPE)
         table = reached_weight_table(amps, self.QPE, self.W)
         np.testing.assert_array_equal(eigen_weights(spec, self.QPE, amps, self.W), table[register_indices(spec, self.QPE)])
+
+    def test_reweighted_delta_under_the_register_span_is_the_sandwich(self):
+        # under the spectral range's window bin 0 would read -1.33e6 instead of -2.45e5
+        spec = eigendecompose(from_pauli_terms(2, [PauliTerm(c, s) for c, s in self.TERMS]))
+        delta = all_ones_delta(2)
+        decoded = energy_table(self.QPE)[register_indices(spec, self.QPE)]
+        folded = reweighted_delta(delta, spec, self.W, energies=decoded, span=self.QPE.representable_span)
+        v = spec.eigenvectors
+        diagonal = np.diag(v.conj().T @ folded.entries @ v)
+        sandwich = np.diag(v.conj().T @ qpe_sandwich_matrix(delta, spec, self.QPE, self.W) @ v)
+        np.testing.assert_allclose(diagonal, sandwich, rtol=1e-12, atol=1e-12)
+        weights = eigen_weights(spec, self.QPE, register_amplitudes(spec, self.QPE), self.W)
+        np.testing.assert_allclose(diagonal, np.diag(v.conj().T @ as_matrix(delta) @ v) * weights, rtol=1e-12, atol=1e-12)
+        assert diagonal[0].real == pytest.approx(-2.448e5, rel=1e-3)
 
     def test_diagonal_target_is_the_plateau_of_the_series(self):
         a = from_pauli_terms(2, [PauliTerm(c, s) for c, s in self.TERMS])
