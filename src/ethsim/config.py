@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import PauliTerm
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .estimators import FORMS, TARGET_ROWS, EthConfig, InitialState
 from .phase_estimation import QpeConfig
 from .weights import WeightSpec
@@ -75,6 +75,8 @@ class DeltaSpec:
             _fail("delta.kind", f"unknown kind {self.kind!r}; expected one of {DELTA_KINDS}")
         if self.kind == "derivative-mask" and not self.entries:
             _fail("delta.entries", "derivative-mask requires entries")
+        if self.state is None:
+            _fail("delta.state", "must be 'uniform' or amplitudes, got null")
         if not (math.isfinite(self.scale)):
             _fail("delta.scale", f"must be finite, got {self.scale!r}")
 
@@ -215,14 +217,13 @@ def _parse_terms(raw, field_name: str) -> tuple:
     terms = []
     for item in raw:
         try:
-            if isinstance(item, str):
-                coef_s, axes = item.split()
-                terms.append(PauliTerm(float(coef_s), axes))
-            else:
-                coef, axes = item
-                terms.append(PauliTerm(float(coef), str(axes)))
-        except (ValueError, TypeError) as exc:
+            coef, axes = item.split() if isinstance(item, str) else item
+            terms.append(PauliTerm(float(coef), str(axes)))
+        except (ValueError, TypeError, DomainError) as exc:
             _fail(field_name, f"bad Pauli term {item!r} ({exc})")
+    lengths = sorted({len(t.axes) for t in terms})
+    if len(lengths) > 1:
+        _fail(field_name, f"terms act on different qubit counts {lengths}")
     return tuple((t.coefficient, t.axes) for t in terms)
 
 

@@ -234,39 +234,33 @@ def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: 
 def _series_kernel(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray], amps: np.ndarray, table: np.ndarray):
     """G = Delta^eig o (conj(a) W a^T), the sandwich <q,0| E^dag (Delta x W)
     E |p,0> in A's eigenbasis: Delta^eig = left right^dag (left itself when
-    right is None), a = amps and W = diag(table), as (order, splits, blocks).
+    right is None), a = amps and W = diag(table), as (indices, G_kk) blocks.
 
     G_qp vanishes unless rows a_q and a_p share register support. When every
-    row of amps is one-hot (exact binning) G is one block per bin, w_k
-    Delta^eig on bin k; otherwise (dense circuit rows) it is one block. The
-    eigen-indices sorted by block are order, np.split(order, splits) the
-    blocks' indices, and blocks their G_kk. It depends on no initial state,
-    so a run builds it once for all its repetitions.
+    row of amps is one-hot (exact binning) G is one block per occupied bin,
+    w_k Delta^eig on the bin's eigen-indices; otherwise (dense circuit rows)
+    it is one block over all of them. It depends on no initial state, so a
+    run builds it once for all its repetitions.
     """
     one_hot = np.all(np.count_nonzero(amps, axis=1) == 1)
     bins = np.abs(amps).argmax(axis=1) if one_hot else np.zeros(spec.dim, int)
-    order = np.argsort(bins, kind="stable")
-    splits = np.flatnonzero(np.diff(bins[order])) + 1
-    blocks = [eigenbasis_block(left, right, idx) * ((amps[idx].conj() * table) @ amps[idx].T)
-              for idx in np.split(order, splits)]
-    return order, splits, blocks
+    return [(idx, eigenbasis_block(left, right, idx) * ((amps[idx].conj() * table) @ amps[idx].T))
+            for idx in (np.flatnonzero(bins == k) for k in np.flatnonzero(np.bincount(bins)))]
 
 
-def _exact_series(spec: Spectrum, kernel: tuple, coeffs: np.ndarray, dt: float, num_steps: int) -> np.ndarray:
-    """Per-step c(t_j)^dag G c(t_j) for G = _series_kernel(...). Sorted by
-    block, each block's rows c_k of a block of evolved coefficients are a
-    view: G_kk c_k, then a column dot with c_k conjugated in place. Each
-    block of evolved coefficients is dropped before the next one is built.
+def _exact_series(spec: Spectrum, kernel: list, coeffs: np.ndarray, dt: float, num_steps: int) -> np.ndarray:
+    """Per-step c(t_j)^dag G c(t_j) = sum_k Re(c_k^dag G_kk c_k) for the
+    blocks of G = _series_kernel(...). Each block evolves its own
+    coefficients c_k and adds G_kk c_k dotted column-wise with c_k,
+    conjugated in place, into its steps of the series.
     """
-    order, splits, blocks = kernel
     series = np.zeros(num_steps)
-    start = 0
-    for c in _evolved(spec.eigenvalues[order], coeffs[order], dt, num_steps):
-        total = series[start : start + c.shape[1]]
-        start += c.shape[1]
-        for g, ck in zip(blocks, np.split(c, splits)):
-            total += np.einsum("qk,qk->k", g @ ck, np.conjugate(ck, out=ck)).real
-        del c, ck  # before _evolved builds the next block
+    for idx, g in kernel:
+        start = 0
+        for c in _evolved(spec.eigenvalues[idx], coeffs[idx], dt, num_steps):
+            series[start : start + c.shape[1]] += np.einsum("qk,qk->k", g @ c, np.conjugate(c, out=c)).real
+            start += c.shape[1]
+            del c  # before _evolved builds the next block
     return series
 
 

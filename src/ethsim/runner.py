@@ -54,8 +54,6 @@ def build_operator(config: ExperimentConfig) -> DenseOperator:
 
 
 def resolve_state(value, n_qubits: int) -> StateVector:
-    if value is None:
-        raise ConfigError("a state specification is required here")
     if isinstance(value, str):
         if value == "uniform":
             return uniform_superposition(n_qubits)

@@ -142,6 +142,30 @@ class TestRunCommand:
         assert code == 2
         assert "qpe.m" in err
 
+    @pytest.mark.parametrize(
+        "terms,reason",
+        [
+            ("0.5 ZQ", "pauli axes must be drawn from I,X,Y,Z, got 'ZQ'"),
+            ("0.5 Z; 0.25 ZZ", "terms act on different qubit counts [1, 2]"),
+            ("0.5 " + "Z" * 15, "qubit count 15 exceeds the dense-simulation cap of 14"),
+        ],
+    )
+    def test_a_malformed_pauli_term_is_a_config_error(self, tmp_path, capsys, terms, reason):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_INVERSE_CFG.replace("problem.terms = 1.5 I; -0.5 Z", f"problem.terms = {terms}"))
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error [config]: field 'problem.terms': ")
+        assert reason in err
+
+    def test_a_null_delta_state_names_its_field(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        text = FAST_INVERSE_CFG.replace("target = inverse-expectation", "target = time-average")
+        cfg.write_text(text.replace("delta.kind = identity", "delta.kind = projector-from-state\ndelta.state = null"))
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.strip() == "error [config]: field 'delta.state': must be 'uniform' or amplitudes, got null"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "absent.cfg"))
         assert code == 2

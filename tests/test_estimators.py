@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -478,6 +479,41 @@ class TestOneSingularityWindow:
         assert summary["oracle_value"] == pytest.approx(summary["estimate"], rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+class TestProjectorFromStateDelta:
+    """An operator-form time-average run of delta.kind = projector-from-state:
+    its oracle is the diagonal ensemble of |s><s|, built from a dense eigh."""
+
+    TERMS = [[0.625, "III"], [0.25, "ZII"], [0.13, "IZI"], [0.07, "IIZ"], [0.2, "XXI"], [0.11, "IYY"], [0.05, "XIX"]]
+
+    @staticmethod
+    def pairs(vec):
+        return [[float(x.real), float(x.imag)] for x in vec]
+
+    @pytest.mark.parametrize("state", ["explicit", "uniform"])
+    def test_the_oracle_is_the_dense_diagonal_ensemble(self, state, tmp_path):
+        rng = np.random.default_rng(21)
+        r, s = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8)))
+        delta = {"kind": "projector-from-state"}
+        if state == "explicit":
+            delta["state"] = self.pairs(s)
+        else:
+            s = np.full(8, 8**-0.5)
+        config = from_dict({
+            "name": "projector", "target": "time-average", "form": "operator", "seed": 3,
+            "problem": {"kind": "pauli-terms", "terms": self.TERMS},
+            "delta": delta,
+            "weight": {"kind": "unit"},
+            "qpe": {"m": 3, "shift": -0.5, "scale": 0.25},
+            "eth": {"dt": 0.7, "num_steps": 64, "initial_state": {"kind": "explicit", "amplitudes": self.pairs(r)}},
+            "outputs": {"out_dir": str(tmp_path)},
+        })
+        evals, vecs = np.linalg.eigh(as_matrix(from_pauli_terms(3, [PauliTerm(c, a) for c, a in self.TERMS])))
+        assert np.diff(evals).min() > 1e-3  # no degeneracy: the ensemble sums over single eigenvectors
+        want = np.sum(np.abs(vecs.conj().T @ r) ** 2 * np.abs(vecs.conj().T @ s) ** 2)
+        assert execute_experiment(config).summary["oracle_value"] == pytest.approx(want, rel=1e-12)
+
+
 class TestVectorFormBinTable:
     """The vector form weighs the bins any eigenvector reaches, so whether a
     run is accepted depends on the register, not on the initial state's zeros."""
@@ -673,7 +709,9 @@ class TestExactSeriesKernel:
         spec, (left, right, amps, table), g_eig, coeffs = self.kernel_inputs(3, mode)
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
         assert estimators._chunk_columns(spec.dim) == 7
-        got = estimators._exact_series(spec, estimators._series_kernel(spec, left, right, amps, table), coeffs, 0.37, 50)  # 8 blocks, the last one short
+        # circuit: one block of all 8 eigenvalues, 8 time blocks of 7 steps, the last one short;
+        # exact binning: a bin of b eigenvalues takes 56 // b steps a time block
+        got = estimators._exact_series(spec, estimators._series_kernel(spec, left, right, amps, table), coeffs, 0.37, 50)
         self.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
 
 
@@ -701,9 +739,37 @@ class TestBinBlockedSeries:
 
     def test_matches_across_time_blocks(self, monkeypatch):
         spec, (delta_eig, right, amps, w), g_eig, coeffs = self.inputs()
+        # a bin of b eigenvalues takes 112 // b steps a time block: the five of bin 3 make 3 time blocks, a singleton 1
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * spec.dim * 7)
         got = estimators._exact_series(spec, estimators._series_kernel(spec, delta_eig, right, amps, w), coeffs, 0.37, 50)
         TestExactSeriesKernel.assert_matches(got, _einsum_series(spec, g_eig, coeffs, 0.37, 50))
+
+    @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
+    def test_each_bin_evolves_its_own_coefficients(self, monkeypatch):
+        # one _evolved call per occupied bin, on exactly that bin's eigenvalues; each block of
+        # evolved coefficients fits the budget and is gone before the next one is built
+        a, _, init = _merged_problem(6, 3, seed=46)
+        spec = eigendecompose(a)
+        qpe = QpeConfig(m=3, shift=1.0, scale=1.0, mode="exact-binning")
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 8 * 5)
+        calls, sizes, evolved = [], [], estimators._evolved
+
+        def recorded(eigenvalues, *args):
+            calls.append(sorted(eigenvalues))
+            for block in evolved(eigenvalues, *args):
+                sizes.append(block.nbytes)
+                alive = weakref.ref(block)
+                yield block
+                del block
+                assert alive() is None
+
+        monkeypatch.setattr(estimators, "_evolved", recorded)
+        mask = derivative_mask(6, [(0, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5)])
+        run_operator_form(spec, mask, WeightSpec(kind="inverse"), EthConfig(dt=0.37, num_steps=50, initial_state=init), qpe)
+        bins = register_indices(spec, qpe)
+        assert sorted(calls) == sorted(sorted(spec.eigenvalues[bins == k]) for k in set(bins))
+        assert 1 < len(calls) < len(sizes)
+        assert max(sizes) <= estimators._CHUNK_BYTES
 
     def test_mixed_rows_make_one_block(self):
         # one dense row among one-hot rows: G no longer vanishes across bins, so it is one block
