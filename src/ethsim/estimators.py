@@ -234,7 +234,7 @@ def _evolved(eigenvalues: np.ndarray, coeffs: np.ndarray, dt: float, num_steps: 
 def _series_kernel(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray], amps: np.ndarray, table: np.ndarray):
     """G = Delta^eig o (conj(a) W a^T), the sandwich <q,0| E^dag (Delta x W)
     E |p,0> in A's eigenbasis: Delta^eig = left right^dag (left itself when
-    right is None), a = amps and W = diag(table), as (indices, G_kk) blocks.
+    right is None), a = amps and W = diag(table), as (indices, None, G_kk) blocks.
 
     G_qp vanishes unless rows a_q and a_p share register support. When every
     row of amps is one-hot (exact binning) G is one block per occupied bin,
@@ -244,23 +244,23 @@ def _series_kernel(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray]
     """
     one_hot = np.all(np.count_nonzero(amps, axis=1) == 1)
     bins = np.abs(amps).argmax(axis=1) if one_hot else np.zeros(spec.dim, int)
-    return [(idx, eigenbasis_block(left, right, idx) * ((amps[idx].conj() * table) @ amps[idx].T))
+    return [(idx, None, eigenbasis_block(left, right, idx) * ((amps[idx].conj() * table) @ amps[idx].T))
             for idx in (np.flatnonzero(bins == k) for k in np.flatnonzero(np.bincount(bins)))]
 
 
 def _exact_series(spec: Spectrum, kernel: list, coeffs: np.ndarray, dt: float, num_steps: int) -> np.ndarray:
-    """Per-step c(t_j)^dag G c(t_j) = sum_k Re(c_k^dag G_kk c_k) for the
-    blocks of G = _series_kernel(...). Each block evolves its own
-    coefficients c_k and adds G_kk c_k dotted column-wise with c_k,
-    conjugated in place, into its steps of the series.
+    """Per-step c(t_j)^dag G c(t_j) = sum_k Re((X_k c_k)^dag (Y_k c_k)) over the blocks
+    (indices, X, Y) of G, G_kk = X^dag Y with X None the identity, each block evolving its
+    own coefficients c_k: the one place where evolved coefficients become an exact series.
     """
     series = np.zeros(num_steps)
-    for idx, g in kernel:
+    for idx, x, y in kernel:
         start = 0
         for c in _evolved(spec.eigenvalues[idx], coeffs[idx], dt, num_steps):
-            series[start : start + c.shape[1]] += np.einsum("qk,qk->k", g @ c, np.conjugate(c, out=c)).real
+            xc = c if x is None else x @ c
+            series[start : start + c.shape[1]] += np.einsum("qk,qk->k", y @ c, np.conjugate(xc, out=xc)).real
             start += c.shape[1]
-            del c  # before _evolved builds the next block
+            del c, xc  # before _evolved builds the next block
     return series
 
 
@@ -489,7 +489,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
     # sum_k |a_p[k]|^2 sqrt(w_k), the same for every state and step.
     gamma = prob @ root
     b = spec.coefficients(phi.amplitudes)
-    u = b.conj() * gamma
+    u = (b.conj() * gamma)[None, :]
     # Delta = |phi><phi| has the factors L = R = phi, so Delta^eig = b b^dag: P = Q = b
     eff = (b[:, None], b[:, None], eigen_weights(spec, qpe, amps, w))
 
@@ -497,7 +497,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
         norm_factor = float(np.sqrt((np.abs(coeffs) ** 2 @ prob) @ root**2))
         if norm_factor <= 1e-14:
             raise SingularityError("weighting annihilated every occupied register slice")
-        samples = np.concatenate(list(map(lambda c: np.abs(u @ c) ** 2, _evolved(spec.eigenvalues, coeffs, eth.dt, eth.num_steps))))
+        samples = _exact_series(spec, [(np.arange(spec.dim), u, u)], coeffs, eth.dt, eth.num_steps)
         kept = float(np.sum(np.abs(gamma * coeffs) ** 2))  # (norm_factor * slice norm)^2
         if eth.sampling == "shots":
             samples = kept * _swap_test_draw(samples / kept, eth.shots, substream(eth.seed, "shots", rep))

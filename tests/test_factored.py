@@ -31,15 +31,10 @@ from ethsim.core import (
 )
 from ethsim.phase_estimation import reweighted_delta
 from ethsim.spectral import eigenbasis_ensemble, in_eigenbasis, spectral_commutator_norm
-from helpers import as_matrix
+from helpers import as_matrix, haar_unitary
 
 KINDS = ("projector", "mask", "identity", "all-ones", "dense")
 SIZES = (1, 2, 4, 6)  # N = 2 .. 64
-
-
-def _haar_unitary(rng, dim):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _operator(n_qubits, degenerate):
@@ -50,7 +45,7 @@ def _operator(n_qubits, degenerate):
     evals = np.sort(rng.uniform(1.0, 2.0, size=dim))
     if degenerate and dim >= 4:
         evals = np.sort(np.concatenate([np.repeat(evals[: dim // 2 - 1], 2), evals[dim // 2 - 2 : dim // 2 - 1], [2.5]]))
-    v = _haar_unitary(rng, dim)
+    v = haar_unitary(rng, dim)
     mat = (v * evals) @ v.conj().T
     return operator_from_matrix(0.5 * (mat + mat.conj().T))
 

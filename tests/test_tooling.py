@@ -1,7 +1,6 @@
 """The benchmark's hooks into the package: every name it wraps or calls exists."""
 
 import importlib
-import importlib.util
 import inspect
 import re
 from fractions import Fraction
@@ -12,26 +11,17 @@ import numpy as np
 import pytest
 
 import ethsim
-from ethsim import QpeConfig, Spectrum
+from ethsim import QpeConfig, Spectrum, cli
 from ethsim.config import load_config
 from ethsim.phase_estimation import _transform_register_rows, register_amplitudes
 from ethsim.runner import execute_experiment
+from helpers import load_perfbench
 
 ROOT = Path(__file__).resolve().parents[1]
-PERFBENCH = ROOT / "perfbench"
-
-
-def _load(name, monkeypatch):
-    """perfbench/<name>.py as a module, registered for the test's duration (dataclasses look it up)."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_tracer_resolves_every_traced_name(monkeypatch):
-    tracing = _load("tracing", monkeypatch)
+    tracing = load_perfbench("tracing", monkeypatch)
     # construction looks up every traced function; a missing name raises here
     tracer = tracing.Tracer()
     assert tracer._patches
@@ -64,7 +54,7 @@ GATED_RUNS = [
 @pytest.mark.parametrize("workload,n_qubits,name", GATED_RUNS)
 def test_generated_runs_pass_the_benchmark_correctness_gate(monkeypatch, tmp_path, workload, n_qubits, name):
     """Each run of a shrunken dense or circuit workload, checked against the closed-form references."""
-    workloads, reference = _load("workloads", monkeypatch), _load("reference", monkeypatch)
+    workloads, reference = load_perfbench("workloads", monkeypatch), load_perfbench("reference", monkeypatch)
     monkeypatch.setattr(workloads, f"{workload.upper()}_QUBITS", n_qubits)
     monkeypatch.setattr(workloads, f"{workload.upper()}_STEPS", 256)
     spec = workloads.build(workload, seed=1)
@@ -185,3 +175,13 @@ def test_readme_presets_table_is_the_preset_list():
             assert expected == float(Fraction(shown)), name
         else:
             assert round(expected, len(shown.split(".")[1])) == float(shown), name
+
+
+def test_readme_quick_start_prints_the_first_line_it_shows(tmp_path, capsys):
+    """`ethsim preset logdet-2q` prints, as its first line, the line the
+    README's quick start shows; CI makes the same check through the installed
+    console script, outside the checkout."""
+    section = (ROOT / "README.md").read_text().split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    shown = re.search(r"^logdet-2q: .*$", section, re.M).group(0)
+    assert cli.main(["preset", "logdet-2q", "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == shown
