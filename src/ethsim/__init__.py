@@ -54,7 +54,6 @@ from .phase_estimation import (
     WeightedJointState,
     apply_upsilon,
     energy_table,
-    phase_map,
     qpe_disentangle,
     qpe_entangle,
     register_indices,
@@ -127,7 +126,6 @@ __all__ = [
     "logdet_gradient_result",
     "matrix_function",
     "operator_from_matrix",
-    "phase_map",
     "projector_from_state",
     "qft_matrix",
     "qpe_disentangle",

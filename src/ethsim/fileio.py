@@ -365,8 +365,11 @@ def _format_part(part: Path, fmt: str, dt: float, cols, lo: int, hi: int):
         handle.writelines(_row_blocks(fmt, dt, cols, lo, hi))
 
 
-def _series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col, path: Path | None = None):
-    """The series file as str blocks: the head, the rows, the tail.
+def series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col, path: Path | None = None):
+    """The series file in format fmt as str blocks: the head, the rows, the tail.
+    JSON is json.dumps({"columns", "rows", "schema_version"}, indent=2,
+    sort_keys=True) + "\\n", finite floats as their repr and nan, inf, -inf as
+    NaN, Infinity, -Infinity.
 
     The rows are cut into contiguous spans, one per CPU and each of at least
     _SPAN_ROWS rows; without a target path, one CPU or os.fork, they are one
@@ -374,8 +377,10 @@ def _series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col
     span, which formats it into a sibling part file; the parts are reaped and
     copied in order, _COPY_CHARS at a time. On exit, also by close() or an
     exception, every child not yet reaped is killed and reaped (see _forked)
-    and every part file removed.
+    and every part file removed. A fmt other than csv or json is a ConfigError.
     """
+    if fmt not in _ROW_TEXT:
+        raise ConfigError(f"unknown series format {fmt!r}")
     dt = float(dt)
     cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
     size = cols[0].size
@@ -403,27 +408,11 @@ def _series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col
     yield tail
 
 
-def series_csv_blocks(dt: float, series, running_mean_col, running_se_col):
-    """The CSV series file as str blocks: the header, then one block per _CSV_ROWS rows."""
-    return _series_blocks("csv", dt, series, running_mean_col, running_se_col)
-
-
-def series_json_blocks(dt: float, series, running_mean_col, running_se_col):
-    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\\n" for the
-    payload {"columns", "rows", "schema_version"} as str blocks: the head, the
-    rows _CSV_ROWS at a time as the CSV writer formats them, then the tail.
-    json writes a finite float as its repr, and nan, inf and -inf as NaN,
-    Infinity and -Infinity."""
-    return _series_blocks("json", dt, series, running_mean_col, running_se_col)
-
-
 def write_series(path, fmt: str, dt: float, series, running_mean_col, running_se_col) -> Path:
     """Stream the series file into its atomic temp file, its rows formatted on
-    every CPU (see _series_blocks); no child outlives the call."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown series format {fmt!r}")
+    every CPU (see series_blocks); no child outlives the call."""
     path = Path(path)
-    with contextlib.closing(_series_blocks(fmt, dt, series, running_mean_col, running_se_col, path)) as blocks:
+    with contextlib.closing(series_blocks(fmt, dt, series, running_mean_col, running_se_col, path)) as blocks:
         return atomic_write_text(path, blocks)
 
 

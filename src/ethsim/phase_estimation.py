@@ -81,18 +81,6 @@ def _phases(energies, config: QpeConfig) -> np.ndarray:
     return phi
 
 
-def phase_map(config: QpeConfig, energy: float) -> int:
-    """Register index for an energy: round(phi * 2**m) mod 2**m."""
-    return int(np.round(_phases(energy, config) * config.register_size)) % config.register_size
-
-
-def energy_of_index(config: QpeConfig, index: int) -> float:
-    """Decoded bin energy, the exact inverse of phase_map on dyadic spectra."""
-    if not 0 <= index < config.register_size:
-        raise DomainError(f"register index {index} outside [0, {config.register_size})")
-    return float(energy_table(config)[index])
-
-
 def energy_table(config: QpeConfig) -> np.ndarray:
     """Decoded energies of every register bin, length 2**m."""
     k = np.arange(config.register_size)

@@ -136,19 +136,14 @@ def eigenbasis_ensemble(spec: Spectrum, delta_eig: np.ndarray, r: StateVector, r
 
 def spectral_commutator_norm(spec: Spectrum, delta: DenseOperator) -> float:
     """Max-entry magnitude of A Delta - Delta A in the computational basis for
-    a Hermitian Delta = L R^dag: X - X^dag with X = A Delta = V (E * V^dag L) R^dag,
-    in O(N^2 r). A Delta_eff that differs from Delta only on the eigenbasis
-    diagonal has the same commutator, since that diagonal commutes with A."""
+    a Hermitian Delta = L R^dag (R = I without factors): X - X^dag with
+    X = A Delta = Y R^dag, Y = V (E * V^dag L), in O(N^2 r) by the row-blocked
+    Hermitian scan of the factors (Y, R), so no N x N Delta is built. A Delta_eff
+    that differs from Delta only on the eigenbasis diagonal has the same
+    commutator, since that diagonal commutes with A."""
     if not delta.hermitian:
         raise DomainError("the commutator norm from the spectrum needs a Hermitian observable")
-    return factored_commutator_norm(spec, *(delta.factors or (delta.entries, None)))
-
-
-def factored_commutator_norm(spec: Spectrum, left: np.ndarray, right: Optional[np.ndarray]) -> float:
-    """spectral_commutator_norm from the factors of a Hermitian Delta = L R^dag
-    alone (R = I when None), so no N x N Delta needs to be built for it. With
-    Y = V (E * V^dag L), X = Y R^dag, and X - X^dag is the row-blocked
-    Hermitian scan of the factors (Y, R) (of Y itself when R is None)."""
+    left, right = delta.factors or (delta.entries, None)
     scaled = spec.coefficients(left)
     scaled *= spec.eigenvalues[:, None]
     return hermitian_deviation(spec.eigenvectors @ scaled, right)

@@ -9,13 +9,13 @@ evaluation goes through an explicit policy instead of silently emitting inf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, SingularityError
 
-WEIGHT_KINDS = ("unit", "inverse", "inverse_sqrt", "identity_of_e", "log_of_e", "custom")
+WEIGHT_KINDS = ("unit", "inverse", "inverse_sqrt", "identity_of_e", "log_of_e")
 
 # fraction of the spectral range treated as "numerically zero" under reject
 SINGULARITY_WINDOW_FRACTION = 1e-8
@@ -40,23 +40,20 @@ class WeightSpec:
     kind: str = "unit"
     policy: str = "reject"
     eta: Optional[float] = None
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ConfigError(f"field 'weight.kind': unknown kind {self.kind!r}; expected one of {WEIGHT_KINDS}")
         if self.policy not in ("reject", "regularize"):
             raise ConfigError(f"unknown singularity policy {self.policy!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise ConfigError("custom weight kind requires fn")
         if self.eta is not None and not (np.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be a positive finite number, got {self.eta!r}")
 
     def evaluate(self, energies, spectral_range: float) -> np.ndarray:
         """Real weights f(E) for an energy array under this spec's policy.
 
-        1/sqrt(E) at E < 0 and a custom fn with complex values raise
-        SingularityError under either policy: no weight is complex.
+        1/sqrt(E) at E < 0 raises SingularityError under either policy: no
+        weight is complex.
         """
         e = np.asarray(energies, dtype=float)
         window = singularity_window(spectral_range, self.eta)
@@ -65,14 +62,6 @@ class WeightSpec:
             return np.ones_like(e)
         if self.kind == "identity_of_e":
             return e.copy()
-        if self.kind == "custom":
-            values = np.asarray(self.fn(e))
-            if np.iscomplexobj(values):
-                raise SingularityError("custom weight returned complex values; weights must be real")
-            if not np.all(np.isfinite(values)):
-                bad = e[~np.isfinite(values)][0]
-                raise SingularityError(f"custom weight is not finite at E = {bad}")
-            return values
 
         # checked first, so the reject message below never points to a policy that raises too
         if self.kind == "inverse_sqrt" and np.any(e < 0):

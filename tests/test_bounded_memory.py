@@ -29,9 +29,9 @@ from ethsim.spectral import (
     eigenbasis_ensemble,
     eigenbasis_factors,
     eigendecompose,
-    factored_commutator_norm,
     in_eigenbasis,
     logdet_gradient_oracle,
+    spectral_commutator_norm,
 )
 from ethsim.weights import WeightSpec
 from helpers import as_matrix
@@ -208,7 +208,8 @@ class TestBlockedChecks:
             x = v @ (spec.eigenvalues[:, None] * (v.conj().T @ factors[0]))
             x = x if factors[1] is None else x @ factors[1].conj().T
             want = self.full_deviation(x)
-            got = factored_commutator_norm(spec, *factors)
+            delta = DenseOperator(12, None, factors=factors) if factors[1] is not None else DenseOperator(12, factors[0])
+            got = spectral_commutator_norm(spec, delta)
             if factors[1] is None:
                 assert got == want
             else:

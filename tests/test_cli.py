@@ -166,6 +166,14 @@ class TestRunCommand:
         assert code == 2
         assert err.strip() == "error [config]: field 'delta.state': must be 'uniform' or amplitudes, got null"
 
+    def test_a_custom_weight_kind_is_an_unknown_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        text = FAST_INVERSE_CFG.replace("target = inverse-expectation", "target = time-average")
+        cfg.write_text(text.replace("weight.kind = inverse", "weight.kind = custom"))
+        code, _, err = run_cli(capsys, "run", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error [config]: field 'weight.kind': unknown kind 'custom'; expected one of ")
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "absent.cfg"))
         assert code == 2

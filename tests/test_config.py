@@ -32,8 +32,7 @@ from ethsim.fileio import (
     atomic_write_text,
     read_matrix_file,
     read_summary,
-    series_csv_blocks,
-    series_json_blocks,
+    series_blocks,
     write_matrix_file,
     write_series,
     write_summary,
@@ -59,6 +58,17 @@ class TestFromDict:
         for name in PRESET_NAMES:
             cfg = build_preset(name)
             assert from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("kind", WEIGHT_KINDS)
+    def test_every_weight_kind_loads_runs_and_echoes_itself(self, kind, tmp_path):
+        """Each kind the parser lists loads, runs a time-average end to end, and
+        the summary's config echo loads back as the same config."""
+        data = self.base()
+        data.update(target="time-average", delta={"kind": "identity"}, weight={"kind": kind})
+        cfg = from_dict(data)
+        summary = execute_experiment(cfg.with_outputs(out_dir=str(tmp_path))).summary
+        assert summary["config"]["weight"]["kind"] == kind
+        assert from_dict(summary["config"]) == cfg
 
     @pytest.mark.parametrize("key", ["phi", "delta.state"])
     def test_explicit_amplitudes_compare_and_hash(self, key):
@@ -568,7 +578,7 @@ class TestSeriesFiles:
     SE = np.array([0.0, 0.1, 0.05])
 
     def test_csv_layout(self):
-        text = "".join(series_csv_blocks(0.25, self.SERIES, self.RM, self.SE))
+        text = "".join(series_blocks("csv", 0.25, self.SERIES, self.RM, self.SE))
         lines = text.splitlines()
         assert lines[0] == "step,t,sample,running_mean,running_se"
         assert lines[1].split(",")[0] == "1"
@@ -576,7 +586,7 @@ class TestSeriesFiles:
         assert len(lines) == 4
 
     def test_json_layout(self):
-        text = "".join(series_json_blocks(0.25, self.SERIES, self.RM, self.SE))
+        text = "".join(series_blocks("json", 0.25, self.SERIES, self.RM, self.SE))
         data = json.loads(text)
         assert data["schema_version"] == 1
         assert data["columns"] == ["step", "t", "sample", "running_mean", "running_se"]
@@ -601,8 +611,8 @@ class TestSeriesFiles:
             monkeypatch.setattr(fileio, "_CSV_ROWS", block_rows)
         series, rm, se = self.edge_columns(seed)
         dt = np.float64(0.01 * math.pi)
-        assert "".join(series_csv_blocks(dt, series, rm, se)) == reference_series_text("csv", dt, series, rm, se)
-        assert "".join(series_json_blocks(dt, series, rm, se)) == reference_series_text("json", dt, series, rm, se)
+        assert "".join(series_blocks("csv", dt, series, rm, se)) == reference_series_text("csv", dt, series, rm, se)
+        assert "".join(series_blocks("json", dt, series, rm, se)) == reference_series_text("json", dt, series, rm, se)
 
     @pytest.mark.parametrize("block_rows", [1, 3, None])
     def test_json_bytes_match_json_dumps_on_non_finite_and_empty_columns(self, monkeypatch, block_rows):
@@ -611,15 +621,18 @@ class TestSeriesFiles:
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e22, 4.0, -1e-7])
         for n in (0, 1, 5, 8):
             cols = (special[:n], special[::-1][:n], np.roll(special, 3)[:n])
-            assert "".join(series_json_blocks(0.5, *cols)) == reference_series_text("json", 0.5, *cols)
+            assert "".join(series_blocks("json", 0.5, *cols)) == reference_series_text("json", 0.5, *cols)
 
     def test_write_series_both_formats(self, tmp_path):
         p_csv = write_series(tmp_path / "s.csv", "csv", 0.1, self.SERIES, self.RM, self.SE)
         p_json = write_series(tmp_path / "s.json", "json", 0.1, self.SERIES, self.RM, self.SE)
         assert p_csv.exists() and p_csv.read_text().startswith("step,")
         assert p_json.exists() and json.loads(p_json.read_text())["schema_version"] == 1
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown series format 'tsv'"):
             write_series(tmp_path / "s.tsv", "tsv", 0.1, self.SERIES, self.RM, self.SE)
+        assert sorted(tmp_path.iterdir()) == [p_csv, p_json]
+        with pytest.raises(ConfigError, match="unknown series format 'tsv'"):
+            next(series_blocks("tsv", 0.1, self.SERIES, self.RM, self.SE))
 
     def test_summary_round_trip(self, tmp_path):
         payload = {"name": "x", "estimate": 1.25, "nested": {"b": [1, 2]}}

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from ethsim import SimulationError, fileio
-from ethsim.fileio import atomic_write_text, series_csv_blocks, series_json_blocks, write_series
+from ethsim.fileio import atomic_write_text, series_blocks, write_series
 
 from test_streamed_series import traced_peak
 
-BLOCKS = {"csv": series_csv_blocks, "json": series_json_blocks}
 SIZES = [0, 1, fileio._CSV_ROWS, fileio._SPAN_ROWS - 1, fileio._SPAN_ROWS, fileio._SPAN_ROWS + 1, 100_000]
 
 
@@ -54,7 +53,7 @@ def cpus(monkeypatch):
 @pytest.mark.parametrize("size", SIZES)
 def test_same_bytes_as_the_one_span_blocks(tmp_path, cpus, fmt, size):
     cols = edge_columns(size)
-    expected = "".join(BLOCKS[fmt](0.01 * np.pi, *cols))
+    expected = "".join(series_blocks(fmt, 0.01 * np.pi, *cols))
     for count in (1, 2, 3, 4):
         forks = cpus(count)
         forks.clear()
@@ -71,7 +70,7 @@ def test_without_fork_the_rows_are_one_span(tmp_path, monkeypatch, cpus, fmt):
     monkeypatch.delattr(os, "fork")
     cols = edge_columns(4 * fileio._SPAN_ROWS)
     path = write_series(tmp_path / f"s.{fmt}", fmt, 0.5, *cols)
-    assert path.read_text().splitlines(keepends=True) == "".join(BLOCKS[fmt](0.5, *cols)).splitlines(keepends=True)
+    assert path.read_text().splitlines(keepends=True) == "".join(series_blocks(fmt, 0.5, *cols)).splitlines(keepends=True)
 
 
 def test_the_cpu_count_is_the_affinity_set_or_the_cpu_count(monkeypatch):

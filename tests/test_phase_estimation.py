@@ -22,7 +22,6 @@ from ethsim import (
     energy_table,
     from_pauli_terms,
     operator_from_matrix,
-    phase_map,
     qpe_disentangle,
     qpe_entangle,
     register_indices,
@@ -36,7 +35,6 @@ from ethsim.phase_estimation import (
     OCCUPANCY_EPS,
     _hadamard_matrix,
     eigen_weights,
-    energy_of_index,
     entangle_matrix,
     half_power_table,
     joint_observable_matrix,
@@ -53,35 +51,43 @@ DYADIC_2Q = eigendecompose(
     from_pauli_terms(2, [PauliTerm(0.625, "II"), PauliTerm(0.25, "ZI"), PauliTerm(0.125, "IZ")])
 )
 DYADIC_QPE = QpeConfig(m=3, shift=0.0, scale=0.5)
+# sigma_z shifted to the eigenvalues 1 and 3
+SHIFTED_Z = eigendecompose(from_pauli_terms(1, [PauliTerm(2.0, "I"), PauliTerm(-1.0, "Z")]))
+
+
+def _levels(energies):
+    """A diagonal spectrum with the given ascending energies, one group each."""
+    return Spectrum(np.asarray(energies, dtype=float), np.eye(len(energies)), tuple((i,) for i in range(len(energies))))
+
+
+def _scalar_bin(config, energy):
+    """round(phi * 2**m) mod 2**m for phi = (E - shift) * scale, one energy at a
+    time, or None when phi lies outside [0, 1): the reference register_indices
+    must match element by element."""
+    phi = (energy - config.shift) * config.scale
+    return int(np.rint(phi * config.register_size)) % config.register_size if 0.0 <= phi < 1.0 else None
 
 
 class TestPhaseMap:
     def test_sigma_z_bins(self):
         config = QpeConfig(m=2, shift=-1.0, scale=0.25)
-        assert phase_map(config, -1.0) == 0
-        assert phase_map(config, 1.0) == 2
+        np.testing.assert_array_equal(register_indices(SIGMA_Z, config), [0, 2])
 
     def test_out_of_range_phase(self):
         config = QpeConfig(m=2, shift=0.0, scale=0.25)
-        with pytest.raises(ConfigError):
-            phase_map(config, -0.5)
-        with pytest.raises(ConfigError):
-            phase_map(config, 4.0)
+        for energy in (-0.5, 4.0):
+            with pytest.raises(ConfigError, match=f"for energy {energy} lies outside"):
+                register_indices(_levels(sorted([1.0, energy])), config)
 
     def test_decode_roundtrip_on_dyadic(self):
-        for e in DYADIC_2Q.eigenvalues:
-            k = phase_map(DYADIC_QPE, e)
-            assert energy_of_index(DYADIC_QPE, k) == pytest.approx(e, abs=1e-14)
+        decoded = energy_table(DYADIC_QPE)[register_indices(DYADIC_2Q, DYADIC_QPE)]
+        np.testing.assert_allclose(decoded, DYADIC_2Q.eigenvalues, rtol=0, atol=1e-14)
 
     def test_energy_table_matches_decode(self):
         table = energy_table(DYADIC_QPE)
         assert len(table) == 8
         for k in range(8):
-            assert table[k] == pytest.approx(energy_of_index(DYADIC_QPE, k))
-
-    def test_index_bounds(self):
-        with pytest.raises(DomainError):
-            energy_of_index(DYADIC_QPE, 8)
+            assert table[k] == pytest.approx(DYADIC_QPE.shift + k / (8 * DYADIC_QPE.scale))
 
     def test_register_indices_dyadic(self):
         np.testing.assert_array_equal(register_indices(DYADIC_2Q, DYADIC_QPE), [1, 2, 3, 4])
@@ -89,8 +95,8 @@ class TestPhaseMap:
     @pytest.mark.filterwarnings("ignore::ethsim.PhaseCollisionWarning")
     @pytest.mark.parametrize("seed", range(4))
     def test_register_indices_match_the_scalar_phase_map(self, seed):
-        """One array expression, bit-identical to phase_map per eigenvalue,
-        with phase_map's error for the first energy outside the register."""
+        """One array expression, equal to the scalar map per eigenvalue, and
+        an error naming the first energy outside the register."""
         rng = np.random.default_rng(seed)
         for m in (1, 3, 6):
             shift, scale = rng.normal(), rng.uniform(0.2, 3.0)
@@ -98,15 +104,18 @@ class TestPhaseMap:
             phases = np.concatenate([np.arange(2**m) / 2**m, (np.arange(2**m) + 0.5) / 2**m, rng.uniform(0.0, 1.0, 40)])
             for lo, hi in ((0.0, 1.0), (-0.2, 1.0), (0.0, 1.3)):
                 energies = np.sort(shift + np.clip(phases * (hi - lo) + lo, lo, hi) / scale)
-                spec = Spectrum(energies, np.eye(energies.size), tuple((i,) for i in range(energies.size)))
+                spec = _levels(energies)
                 config = QpeConfig(m=m, shift=shift, scale=scale)
-                try:
-                    want = np.array([phase_map(config, e) for e in spec.eigenvalues], dtype=int)
-                except ConfigError as exc:
+                bins = [_scalar_bin(config, e) for e in spec.eigenvalues]
+                if None in bins:
+                    first = spec.eigenvalues[bins.index(None)]
                     with pytest.raises(ConfigError) as err:
                         register_indices(spec, config)
-                    assert str(err.value) == str(exc)
+                    assert str(err.value) == (
+                        f"phase {(first - shift) * scale} for energy {first} lies outside [0, 1); adjust shift/scale"
+                    )
                     continue
+                want = np.array(bins, dtype=int)
                 got = register_indices(spec, config)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
@@ -215,11 +224,10 @@ class TestUpsilon:
             apply_upsilon(joint, config, w, power="half")
 
     def test_norm_factor_bookkeeping(self):
-        # decoded energies -1 and +1 take weights 1 and 1/3 on equal slices
-        config = QpeConfig(m=2, shift=-1.0, scale=0.25)
-        joint = qpe_entangle(SIGMA_Z, uniform_superposition(1), config)
-        w = WeightSpec(kind="custom", fn=lambda e: 1.0 / (e + 2.0))
-        weighted = apply_upsilon(joint, config, w)
+        # decoded energies 1 and 3 take weights 1 and 1/3 on equal slices
+        config = QpeConfig(m=2, shift=1.0, scale=0.25)
+        joint = qpe_entangle(SHIFTED_Z, uniform_superposition(1), config)
+        weighted = apply_upsilon(joint, config, WeightSpec(kind="inverse"))
         assert weighted.norm_factor == pytest.approx(math.sqrt(0.5 * (1.0 + 1.0 / 9.0)), rel=1e-12)
         assert np.linalg.norm(weighted.joint.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
@@ -230,10 +238,11 @@ class TestUpsilon:
             apply_upsilon(joint, config, WeightSpec(kind="unit"), power="two")
 
     def test_annihilating_weight(self):
+        # log |E| is 0 at both decoded energies -1 and +1
         config = QpeConfig(m=2, shift=-1.0, scale=0.25)
         joint = qpe_entangle(SIGMA_Z, uniform_superposition(1), config)
         with pytest.raises(SingularityError):
-            apply_upsilon(joint, config, WeightSpec(kind="custom", fn=lambda e: 0.0 * e))
+            apply_upsilon(joint, config, WeightSpec(kind="log_of_e"))
 
 
 class TestLeakage:
@@ -371,7 +380,7 @@ class TestSharedBinWeightTable:
 
     @staticmethod
     def weight(kind, policy):
-        return WeightSpec(kind=kind, policy=policy, fn=(lambda e: np.cos(3.0 * e)) if kind == "custom" else None)
+        return WeightSpec(kind=kind, policy=policy)
 
     def test_the_occupancies_straddle_the_threshold(self):
         occ = self.OCC
@@ -420,11 +429,13 @@ class TestSharedBinWeightTable:
 
     @pytest.mark.parametrize("power", ["one", "half"])
     def test_annihilated_slices_message(self, power):
-        w = WeightSpec(kind="custom", fn=lambda e: 0.0 * e)
+        # no kind weighs all four reached bins of AMPS by zero; log |E| is 0 at
+        # sigma_z's decoded energies -1 and +1
+        config, w = QpeConfig(m=2, shift=-1.0, scale=0.25), WeightSpec(kind="log_of_e")
         with pytest.raises(SingularityError) as err:
-            apply_upsilon(StateVector(4, self.AMPS.reshape(-1)), self.POSITIVE, w, power=power)
+            apply_upsilon(qpe_entangle(SIGMA_Z, uniform_superposition(1), config), config, w, power=power)
         assert str(err.value) == "weighting annihilated every occupied register slice"
-        np.testing.assert_array_equal(reached_weight_table(self.AMPS, self.POSITIVE, w), 0.0)
+        np.testing.assert_array_equal(reached_weight_table(register_amplitudes(SIGMA_Z, config), config, w), 0.0)
 
 
 class TestDecodedEnergies:

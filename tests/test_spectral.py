@@ -170,10 +170,6 @@ class TestWeights:
             WeightSpec(kind="log_of_e").evaluate(e, rng), [math.log(0.5), math.log(2.0)]
         )
 
-    def test_custom_weight(self):
-        w = WeightSpec(kind="custom", fn=lambda x: x**2)
-        np.testing.assert_allclose(w.evaluate(np.array([2.0, 3.0]), 1.0), [4.0, 9.0])
-
     def test_reject_inside_window(self):
         w = WeightSpec(kind="inverse", policy="reject")
         window = singularity_window(2.0)
@@ -200,17 +196,12 @@ class TestWeights:
     @pytest.mark.parametrize("kind", WEIGHT_KINDS)
     @pytest.mark.parametrize("policy", ["reject", "regularize"])
     def test_no_weight_is_complex(self, kind, policy):
-        w = WeightSpec(kind=kind, policy=policy, fn=(lambda e: np.cos(3.0 * e)) if kind == "custom" else None)
+        w = WeightSpec(kind=kind, policy=policy)
         try:
             values = w.evaluate(np.array([-1.0, -1e-12, 0.0, 1e-12, 0.5]), 2.0)
         except SingularityError:
             return
         assert values.dtype == np.float64
-
-    def test_complex_custom_weight_raises(self):
-        w = WeightSpec(kind="custom", fn=lambda e: np.exp(1j * e))
-        with pytest.raises(SingularityError, match="custom weight returned complex values"):
-            w.evaluate(np.array([0.5, 1.0]), 1.0)
 
     def test_log_floor(self):
         w = WeightSpec(kind="log_of_e", policy="regularize", eta=1e-4)
@@ -223,7 +214,7 @@ class TestWeights:
             WeightSpec(kind="nope")
         with pytest.raises(ConfigError):
             WeightSpec(kind="inverse", policy="ignore")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="field 'weight.kind': unknown kind 'custom'"):
             WeightSpec(kind="custom")
         with pytest.raises(ConfigError):
             WeightSpec(kind="inverse", eta=-1.0)

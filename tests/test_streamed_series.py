@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ethsim.estimators import batch_means_standard_error, running_mean, running_standard_error
-from ethsim.fileio import atomic_write_text, read_matrix_file, series_csv_blocks, series_json_blocks, write_matrix_file, write_series
+from ethsim.fileio import atomic_write_text, read_matrix_file, series_blocks, write_matrix_file, write_series
 
 STREAM_ROWS = 100_000
 
@@ -81,8 +81,7 @@ class TestStreamedWrite:
         cols = columns(STREAM_ROWS)
         path = tmp_path / f"s.{fmt}"
         assert traced_peak(lambda: write_series(path, fmt, 0.5, *cols)) <= 2**20
-        blocks = {"csv": series_csv_blocks, "json": series_json_blocks}[fmt]
-        assert path.read_text().splitlines(keepends=True) == "".join(blocks(0.5, *cols)).splitlines(keepends=True)
+        assert path.read_text().splitlines(keepends=True) == "".join(series_blocks(fmt, 0.5, *cols)).splitlines(keepends=True)
 
     def test_matrix_file_streams_its_rows(self, tmp_path):
         rng = np.random.default_rng(14)

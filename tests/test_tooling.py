@@ -159,6 +159,13 @@ def test_readme_targets_table_is_the_module_table():
         assert oracle in row_oracle.__code__.co_names, target
 
 
+def test_readme_weight_kinds_are_the_module_list():
+    """The README's `weight.kind` bullet names exactly ethsim.weights.WEIGHT_KINDS, in order."""
+    readme = (ROOT / "README.md").read_text()
+    kinds = re.search(r"^- `weight\.kind`: ((?:`\w+`(?:,|,? or)\s+)*`\w+`)", readme, re.M).group(1)
+    assert re.findall(r"`(\w+)`", kinds) == list(ethsim.weights.WEIGHT_KINDS)
+
+
 def test_readme_presets_table_is_the_preset_list():
     """The README's presets table names exactly the built-in presets, in
     order, and gives each one's expected value to the digits it shows
