@@ -465,8 +465,7 @@ def run_operator_form(a: DenseOperator | Spectrum, delta: DenseOperator, w: Weig
     return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, delta))
 
 
-def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, w: WeightSpec = INVERSE,
-                    projector: Optional[DenseOperator] = None) -> EthEstimate:
+def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfig, qpe: QpeConfig, w: WeightSpec = INVERSE) -> EthEstimate:
     """Time-average of weighted overlap probabilities against |phi>.
 
     The evolved state is entangled with the register, carries the square
@@ -477,8 +476,7 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
     |<phi|psi_w(t)>|^2 time-averages to sum_p |c_p|^2 |<phi|p>|^2 w(E_p);
     circuit-mode leakage makes the weight on p a mix of several bins'.
     Shots mode reads the overlap from a simulated swap test instead of exact
-    arithmetic. The commutator diagnostic reads |phi><phi|: projector when
-    the caller has built it, else projector_from_state(phi).
+    arithmetic.
     """
     spec = spectrum_of(a)
     if phi.dim != spec.dim:
@@ -505,7 +503,8 @@ def run_vector_form(a: DenseOperator | Spectrum, phi: StateVector, eth: EthConfi
             samples = kept * _swap_test_draw(samples / kept, eth.shots, substream(eth.seed, "shots", rep))
         return samples, max(0.0, 1.0 - kept / norm_factor**2)
 
-    return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, projector or projector_from_state(phi)))
+    factor = phi.amplitudes[:, None]
+    return _time_average(spec, eth, eff, draw, lambda: spectral_commutator_norm(spec, DenseOperator(phi.dim, None, factors=(factor, factor))))
 
 
 @dataclass(frozen=True)
@@ -534,9 +533,8 @@ TARGET_ROWS = {
 
 def _run_target(target: str, form: str, a: DenseOperator | Spectrum, delta: Optional[DenseOperator], phi: Optional[StateVector],
                 eth: EthConfig, qpe: QpeConfig, weight: Optional[WeightSpec] = None) -> NormalizedEstimate:
-    """target's row in one form: delta is the operator form's observable (in
-    the vector form |phi><phi| or None), phi the vector form's state, weight
-    the configured one a fixed weight replaces."""
+    """target's row in one form: delta is the operator form's observable, phi
+    the vector form's state, weight the configured one a fixed weight replaces."""
     forms, _, fixed, _ = TARGET_ROWS[target]
     if form not in forms:
         raise ConfigError(f"form must be {' or '.join(map(repr, forms))}, got {form!r}")
@@ -544,7 +542,7 @@ def _run_target(target: str, form: str, a: DenseOperator | Spectrum, delta: Opti
     if form == "operator":
         raw = run_operator_form(a, delta, w, eth, qpe)
     else:
-        raw = run_vector_form(a, phi, eth, qpe, w, delta)
+        raw = run_vector_form(a, phi, eth, qpe, w)
     factor = 1.0 if fixed is None else float(a.dim)
     return NormalizedEstimate(factor * raw.estimate, factor * raw.standard_error, factor, raw)
 
