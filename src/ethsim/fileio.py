@@ -39,13 +39,12 @@ _SPAN_ROWS = 8 * _CSV_ROWS
 # than it saves (on a 2-vCPU VM the two broke even at about 160 repeats in
 # 1024 floats, and the index cost 80-110 us more at 32 repeats)
 _REPEAT_SHARE = 8
-# characters per read when a span's part file is copied into the series file
-_COPY_CHARS = 2**16
 # least body bytes per span of the forked matrix-file reader (see README)
 _SPAN_BYTES = 2**20
 # bytes of text per np.loadtxt call of the matrix-file reader
 _PARSE_BYTES = 2**18
-# bytes per os.pread of the matrix-file reader
+# bytes per os.pread of the matrix-file reader, and characters per read when
+# a span's part file is copied into the series file
 _READ_BYTES = 2**16
 
 
@@ -120,12 +119,13 @@ def read_matrix_file(path) -> np.ndarray:
                 at += 16 + 8 * width * cap
             values = np.empty((dim, width))
             # an empty map is an error, so one span maps one unused byte
-            with mmap.mmap(-1, max(at, 1)) as shared, _forked(functools.partial(_parse_part, shared, fd, *block, width) for block in blocks) as statuses:
+            shared = mmap.mmap(-1, max(at, 1))
+            tasks = ((f"matrix file {path}: the child process parsing bytes {lo}..{hi - 1}", functools.partial(_parse_part, shared, fd, lo, hi, head, cap, width)) for lo, hi, head, cap in blocks)
+            with shared, _forked(tasks) as wait:
                 try:
                     rows = _parse_span(fd, cuts[0], cuts[1], values)
-                    for (lo, hi, head, cap), status in zip(blocks, statuses):
-                        if status:
-                            raise SimulationError(f"matrix file {path}: the child process parsing bytes {lo}..{hi - 1} exited with status {status}")
+                    for _, _, head, cap in blocks:
+                        wait()
                         count, fault = np.frombuffer(shared, np.int64, 2, head).tolist()
                         if fault >= 0:
                             raise _LineFault(fault)
@@ -257,46 +257,42 @@ def _span_count(size: int, least: int) -> int:
     return max(1, min(_cpu_count(), size // least)) if hasattr(os, "fork") else 1
 
 
-def _child(task):
-    """In a forked child: run task(), then end the process, with exit status
-    0 if it returned and 1, its traceback on stderr, if it raised."""
-    status = 1
-    try:
-        # no collection in the child, so no finalizer of the parent's garbage
-        # (a file with buffered writes, say) runs a second time
-        gc.disable()
-        task()
-        status = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())  # the traceback, as for an uncaught error
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
 @contextlib.contextmanager
 def _forked(tasks):
-    """Run each task in a forked child (see _child) and give the caller the
-    children's exit statuses in task order, each waited for as it is taken.
-    On exit, also by an exception, every child not yet reaped is killed and
-    reaped. With no tasks nothing is forked."""
-    pids = []
+    """Run each (label, task) pair's task in a forked child, which exits with
+    status 0 if the task returned and 1, its traceback on stderr, if it
+    raised, and give the caller wait(): it reaps the next child in task order
+    and raises SimulationError(f"{label} exited with status {n}") if n is not
+    0. On exit, also by an exception, every child not yet reaped is killed."""
+    children = []
 
-    def statuses():
-        while pids:
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            del pids[0]
-            yield status
+    def wait():
+        label, pid = children[0]
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del children[0]
+        if status:
+            raise SimulationError(f"{label} exited with status {status}")
 
     try:
-        for task in tasks:
+        for label, task in tasks:
             pid = os.fork()
             if pid == 0:
-                _child(task)
-            pids.append(pid)
-        yield statuses()
+                status = 1
+                try:
+                    # no collection in the child, so no finalizer of the parent's
+                    # garbage (a file with buffered writes, say) runs a second time
+                    gc.disable()
+                    task()
+                    status = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())  # the traceback, as for an uncaught error
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            children.append((label, pid))
+        yield wait
     finally:
-        for pid in pids:
+        for _, pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -365,55 +361,58 @@ def _format_part(part: Path, fmt: str, dt: float, cols, lo: int, hi: int):
         handle.writelines(_row_blocks(fmt, dt, cols, lo, hi))
 
 
-def series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col, path: Path | None = None):
-    """The series file in format fmt as str blocks: the head, the rows, the tail.
-    JSON is json.dumps({"columns", "rows", "schema_version"}, indent=2,
-    sort_keys=True) + "\\n", finite floats as their repr and nan, inf, -inf as
-    NaN, Infinity, -Infinity.
-
-    The rows are cut into contiguous spans, one per CPU and each of at least
-    _SPAN_ROWS rows; without a target path, one CPU or os.fork, they are one
-    span. The generator formats span 0 itself and forks one child per later
-    span, which formats it into a sibling part file; the parts are reaped and
-    copied in order, _COPY_CHARS at a time. On exit, also by close() or an
-    exception, every child not yet reaped is killed and reaped (see _forked)
-    and every part file removed. A fmt other than csv or json is a ConfigError.
-    """
+def _series_frame(fmt: str, size: int) -> tuple[str, str]:
+    """The text before and after the size rows of a series file in format
+    fmt; a fmt other than csv or json is a ConfigError."""
     if fmt not in _ROW_TEXT:
         raise ConfigError(f"unknown series format {fmt!r}")
-    dt = float(dt)
-    cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
-    size = cols[0].size
     if fmt == "csv":
-        head, tail = ",".join(SERIES_COLUMNS) + "\n", ""
-    else:
-        empty = json.dumps({"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": []}, indent=2, sort_keys=True)
-        head, tail = empty.split("[]")
-        head, tail = head + ("[\n" if size else "[]"), ("\n  ]" if size else "") + tail + "\n"
-    spans = 1 if path is None else _span_count(size, _SPAN_ROWS)
-    bounds = [k * size // spans for k in range(spans + 1)]
-    later = [(path.parent / f".{path.name}.{secrets.token_hex(8)}.part", lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    yield head
-    try:
-        with _forked(functools.partial(_format_part, part, fmt, dt, cols, lo, hi) for part, lo, hi in later) as statuses:
-            yield from _row_blocks(fmt, dt, cols, bounds[0], bounds[1])
-            for (part, lo, hi), status in zip(later, statuses):
-                if status:
-                    raise SimulationError(f"series file {path}: the child process formatting steps {lo + 1}..{hi} exited with status {status}")
-                with part.open() as handle:
-                    yield from iter(functools.partial(handle.read, _COPY_CHARS), "")
-    finally:
-        for part, _, _ in later:
-            part.unlink(missing_ok=True)
-    yield tail
+        return ",".join(SERIES_COLUMNS) + "\n", ""
+    head, tail = json.dumps({"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": []}, indent=2, sort_keys=True).split("[]")
+    return head + ("[\n" if size else "[]"), ("\n  ]" if size else "") + tail + "\n"
+
+
+def series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col):
+    """The series file in format fmt as str blocks: the head, the rows, the
+    tail. JSON is json.dumps({"columns", "rows", "schema_version"}, indent=2,
+    sort_keys=True) + "\\n", finite floats as their repr and nan, inf, -inf as
+    NaN, Infinity, -Infinity. A fmt other than csv or json is a ConfigError."""
+    cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
+    head, tail = _series_frame(fmt, cols[0].size)
+    return itertools.chain([head], _row_blocks(fmt, float(dt), cols, 0, cols[0].size), [tail])
 
 
 def write_series(path, fmt: str, dt: float, series, running_mean_col, running_se_col) -> Path:
-    """Stream the series file into its atomic temp file, its rows formatted on
-    every CPU (see series_blocks); no child outlives the call."""
+    """Stream the text of series_blocks into the series file's atomic temp
+    file, its rows cut into contiguous spans, one per CPU and each of at least
+    _SPAN_ROWS rows: this process formats span 0, and a forked child each
+    later span into a sibling part file (see _forked), copied in order
+    _READ_BYTES characters at a time. No child or part file outlives the call;
+    a fmt other than csv or json is a ConfigError raised before any file is made."""
     path = Path(path)
-    with contextlib.closing(series_blocks(fmt, dt, series, running_mean_col, running_se_col, path)) as blocks:
-        return atomic_write_text(path, blocks)
+    dt, cols = float(dt), [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
+    size = cols[0].size
+    head, tail = _series_frame(fmt, size)
+    spans = _span_count(size, _SPAN_ROWS)
+    bounds = [k * size // spans for k in range(spans + 1)]
+    parts = [path.parent / f".{path.name}.{secrets.token_hex(8)}.part" for _ in bounds[2:]]
+
+    def rows():
+        tasks = ((f"series file {path}: the child process formatting steps {lo + 1}..{hi}", functools.partial(_format_part, part, fmt, dt, cols, lo, hi)) for part, lo, hi in zip(parts, bounds[1:], bounds[2:]))
+        with _forked(tasks) as wait:
+            yield from _row_blocks(fmt, dt, cols, 0, bounds[1])
+            for part in parts:
+                wait()
+                with part.open() as handle:
+                    yield from iter(functools.partial(handle.read, _READ_BYTES), "")
+
+    try:
+        # closed on every exit, so the children are reaped before their part files go
+        with contextlib.closing(rows()) as body:
+            return atomic_write_text(path, itertools.chain([head], body, [tail]))
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def write_summary(path, summary: dict) -> Path:

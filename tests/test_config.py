@@ -628,8 +628,9 @@ class TestSeriesFiles:
         p_json = write_series(tmp_path / "s.json", "json", 0.1, self.SERIES, self.RM, self.SE)
         assert p_csv.exists() and p_csv.read_text().startswith("step,")
         assert p_json.exists() and json.loads(p_json.read_text())["schema_version"] == 1
+        # the format is checked before the missing directory is made
         with pytest.raises(ConfigError, match="unknown series format 'tsv'"):
-            write_series(tmp_path / "s.tsv", "tsv", 0.1, self.SERIES, self.RM, self.SE)
+            write_series(tmp_path / "new" / "s.tsv", "tsv", 0.1, self.SERIES, self.RM, self.SE)
         assert sorted(tmp_path.iterdir()) == [p_csv, p_json]
         with pytest.raises(ConfigError, match="unknown series format 'tsv'"):
             next(series_blocks("tsv", 0.1, self.SERIES, self.RM, self.SE))

@@ -3,6 +3,7 @@ formats span 0 itself and each later span in a forked child, and writes the
 same bytes as the one-span block generators. No child and no part or temp
 file outlives a call, whether it succeeds or fails."""
 
+import inspect
 import os
 import time
 
@@ -64,6 +65,14 @@ def test_same_bytes_as_the_one_span_blocks(tmp_path, cpus, fmt, size):
         assert_no_child_left()
 
 
+def test_the_public_blocks_are_one_span_and_never_fork(cpus):
+    forks = cpus(4)
+    assert "path" not in inspect.signature(series_blocks).parameters
+    text = "".join(series_blocks("csv", 0.5, *edge_columns(4 * fileio._SPAN_ROWS)))
+    assert text.count("\n") == 4 * fileio._SPAN_ROWS + 1
+    assert forks == []
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_without_fork_the_rows_are_one_span(tmp_path, monkeypatch, cpus, fmt):
     cpus(4)
@@ -100,15 +109,18 @@ def failing_rows(monkeypatch, fails, stalls=lambda lo: False):
 
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_child_that_fails_raises_and_leaves_no_file(tmp_path, monkeypatch, capfd, cpus, fmt, existing):
-    cpus(2)
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_child_that_fails_raises_and_leaves_no_file(tmp_path, monkeypatch, capfd, cpus, count, fmt, existing):
+    cpus(count)
     failing_rows(monkeypatch, lambda lo: lo >= fileio._SPAN_ROWS)
     path = tmp_path / f"s.{fmt}"
     if existing:
         atomic_write_text(path, "kept")
-    with pytest.raises(SimulationError, match="exited with status 1"):
+    # every child fails; the first later span in span order is named
+    first = 100_000 // count
+    with pytest.raises(SimulationError, match=rf"^series file .*s\.{fmt}: the child process formatting steps {first + 1}\.\.{2 * first} exited with status 1$"):
         write_series(path, fmt, 0.5, *edge_columns(100_000))
-    assert "RuntimeError: span at row 50000 failed" in capfd.readouterr().err
+    assert f"RuntimeError: span at row {first} failed" in capfd.readouterr().err
     assert list(tmp_path.iterdir()) == ([path] if existing else [])
     if existing:
         assert path.read_text() == "kept"

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import pkgutil
 import re
 from fractions import Fraction
 import sys
@@ -88,6 +89,15 @@ def test_readme_library_use_names_are_exported():
         assert name in ethsim.__all__, name
         if module is not None:
             assert getattr(ethsim, name) is getattr(sys.modules[module], name), name
+
+
+def test_readme_private_names_exist():
+    """Every backticked private name in the README (`_CHUNK_BYTES`, `_forked`,
+    ...) is defined in an ethsim module, so a removed name cannot stay in the docs."""
+    names = set(re.findall(r"`(_\w+)`", (ROOT / "README.md").read_text()))
+    modules = [importlib.import_module(f"ethsim.{info.name}") for info in pkgutil.iter_modules(ethsim.__path__)]
+    assert len(names) >= 10
+    assert sorted(name for name in names if not any(hasattr(module, name) for module in modules)) == []
 
 
 def test_readme_block_budgets_equal_the_module_constants():
