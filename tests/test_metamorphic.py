@@ -18,7 +18,7 @@ import pytest
 
 from ethsim import EthConfig, InitialState, QpeConfig, StateVector, WeightSpec, eigendecompose, operator_from_matrix, run_operator_form, run_vector_form
 
-# register modes by qubit count: circuit mode only at n = 8, where 256 levels fill 32 bins
+# (n, register mode): circuit mode at n = 8 only, so the n = 10 cases stay within a few seconds
 CASES = [(8, "exact-binning"), (8, "circuit"), (10, "exact-binning")]
 INVERSE = WeightSpec(kind="inverse")
 RTOL = 1e-11
