@@ -11,7 +11,6 @@ numpy's LinAlgError and MemoryError).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .config import SERIES_FORMATS, load_config, to_keyvalue_text
 from .errors import DomainError, SimulationError
-from .fileio import atomic_write_text, read_summary
+from .fileio import _json_text, atomic_write_text, read_summary
 from .presets import PRESET_NAMES, build_preset
 from .reporting import compare_summaries
 from .runner import ExecutionResult, execute_experiment
@@ -108,7 +107,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_compare(args) -> int:
     result = compare_summaries(read_summary(args.summary_a), read_summary(args.summary_b))
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(_json_text(result))
     return 0
 
 

@@ -332,7 +332,7 @@ _JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # the block's last row
 _ROW_TEXT = {
     "csv": (("", ""), "\n", ",", "\n"),
-    "json": (("    [\n      ", ",\n    [\n      "), "\n    ],\n    [\n      ", ",\n      ", "\n    ]"),
+    "json": (("    [", ",\n    ["), "],\n    [", ", ", "]"),
 }
 
 
@@ -368,15 +368,15 @@ def _series_frame(fmt: str, size: int) -> tuple[str, str]:
         raise ConfigError(f"unknown series format {fmt!r}")
     if fmt == "csv":
         return ",".join(SERIES_COLUMNS) + "\n", ""
-    head, tail = json.dumps({"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": []}, indent=2, sort_keys=True).split("[]")
+    head, tail = _json_text({"schema_version": 1, "columns": list(SERIES_COLUMNS), "rows": []}).split("[]")
     return head + ("[\n" if size else "[]"), ("\n  ]" if size else "") + tail + "\n"
 
 
 def series_blocks(fmt: str, dt: float, series, running_mean_col, running_se_col):
     """The series file in format fmt as str blocks: the head, the rows, the
-    tail. JSON is json.dumps({"columns", "rows", "schema_version"}, indent=2,
-    sort_keys=True) + "\\n", finite floats as their repr and nan, inf, -inf as
-    NaN, Infinity, -Infinity. A fmt other than csv or json is a ConfigError."""
+    tail. JSON is _json_text({"columns", "rows", "schema_version"}) + "\\n",
+    one row per line, finite floats as their repr and nan, inf, -inf as NaN,
+    Infinity, -Infinity. A fmt other than csv or json is a ConfigError."""
     cols = [np.asarray(col, dtype=float) for col in (series, running_mean_col, running_se_col)]
     head, tail = _series_frame(fmt, cols[0].size)
     return itertools.chain([head], _row_blocks(fmt, float(dt), cols, 0, cols[0].size), [tail])
@@ -415,8 +415,24 @@ def write_series(path, fmt: str, dt: float, series, running_mean_col, running_se
             part.unlink(missing_ok=True)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """The JSON text of value as every ethsim file and printout lays it out:
+    a dict one key per line, sorted and indented two spaces deeper, as
+    json.dumps(indent=2, sort_keys=True) writes it; a list or tuple that
+    holds a list or dict one item per line; anything else, a list of scalars
+    too, as json.dumps writes it, on one line."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items, ends = (f"{json.dumps(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())), "{}"
+    elif isinstance(value, (list, tuple)) and any(isinstance(item, (list, tuple, dict)) for item in value):
+        items, ends = (_json_text(item, inner) for item in value), "[]"
+    else:
+        return json.dumps(value)
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+
+
 def write_summary(path, summary: dict) -> Path:
-    return atomic_write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return atomic_write_text(path, _json_text(summary) + "\n")
 
 
 def read_summary(path) -> dict:

@@ -11,6 +11,7 @@ import pytest
 
 from ethsim.cli import main
 from ethsim.fileio import read_summary, write_matrix_file, write_summary
+from ethsim.reporting import compare_summaries
 
 FAST_INVERSE_CFG = """
 name = tiny-inverse
@@ -364,6 +365,15 @@ class TestCompareCommand:
         code, out, _ = run_cli(capsys, "compare", str(a), str(b))
         assert code == 0
         assert json.loads(out)["consistent"] is False
+
+    @pytest.mark.parametrize("estimate_b,se", [(1.03, 0.02), (2.0, 0.0)], ids=["finite-z", "infinite-z"])
+    def test_stdout_is_json_dumps_indent_2_of_the_result(self, tmp_path, capsys, estimate_b, se):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_summary(a, 1.0, se)
+        self._write_summary(b, estimate_b, se)
+        code, out, _ = run_cli(capsys, "compare", str(a), str(b))
+        result = compare_summaries(read_summary(a), read_summary(b))
+        assert (code, out) == (0, json.dumps(result, indent=2, sort_keys=True) + "\n")
 
     def test_target_mismatch_is_domain_error(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -563,13 +563,13 @@ def element_rows(dt, series, rm, se):
 
 
 def reference_series_text(fmt, dt, series, rm, se):
-    """The series file as the earlier per-element writer made it: a repr per
-    float in CSV, json.dumps of the payload in JSON."""
+    """The series file as a per-element writer makes it: a repr per float in
+    CSV; in JSON, json.dumps of each row on its own line."""
     rows = list(element_rows(dt, series, rm, se))
     if fmt == "csv":
         return "".join(["step,t,sample,running_mean,running_se\n"] + [f"{a},{b!r},{c!r},{d!r},{e!r}\n" for a, b, c, d, e in rows])
-    payload = {"schema_version": 1, "columns": ["step", "t", "sample", "running_mean", "running_se"], "rows": [list(r) for r in rows]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    body = ("[\n" + ",\n".join(f"    {json.dumps(list(r))}" for r in rows) + "\n  ]") if rows else "[]"
+    return '{\n  "columns": ["step", "t", "sample", "running_mean", "running_se"],\n  "rows": ' + body + ',\n  "schema_version": 1\n}\n'
 
 
 class TestSeriesFiles:

@@ -202,3 +202,14 @@ def test_readme_quick_start_prints_the_first_line_it_shows(tmp_path, capsys):
     shown = re.search(r"^logdet-2q: .*$", section, re.M).group(0)
     assert cli.main(["preset", "logdet-2q", "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == shown
+
+
+def test_readme_json_series_example_is_the_first_lines_of_the_file(tmp_path, capsys):
+    """The first four lines of `inverse-2q_series.json` the README shows are
+    the ones `ethsim preset inverse-2q --format json` writes."""
+    readme = (ROOT / "README.md").read_text()
+    shown = re.search(r"`ethsim preset inverse-2q --format json` begins its\n`inverse-2q_series\.json`:\n\n```\n(.*?)```", readme, re.S).group(1)
+    assert cli.main(["preset", "inverse-2q", "--format", "json", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "inverse-2q_series.json").read_text().splitlines(keepends=True)
+    assert shown == "".join(lines[:4])
